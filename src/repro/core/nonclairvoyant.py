@@ -29,6 +29,8 @@ information a coordinator has when the request arrives.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .dispatch import ImmediateDispatchScheduler
 from .task import Task
 
@@ -38,28 +40,33 @@ __all__ = ["LeastOutstanding", "C3Like"]
 class _OutstandingTracker(ImmediateDispatchScheduler):
     """Shared machinery: per-machine outstanding counts derived from
     dispatch history and the current time (a dispatched task is
-    outstanding while ``now < its completion``)."""
+    outstanding while ``now < its completion``).
+
+    The counts are kept live: a ``(completion, machine)`` min-heap of
+    the in-flight tasks is popped while its head has ``completion <=
+    now``.  Submission follows release order, so ``now`` never goes
+    back and a popped task never becomes outstanding again.
+    """
 
     clairvoyant = False
 
     def __init__(self, m: int) -> None:
         super().__init__(m)
-        #: (completion_time, machine) of every dispatched task
+        #: (completion_time, machine) min-heap of in-flight tasks
         self._inflight: list[tuple[float, int]] = []
+        self._outstanding: dict[int, int] = {j: 0 for j in range(1, m + 1)}
 
     def outstanding(self, now: float) -> dict[int, int]:
         """Outstanding request count per machine at time ``now``."""
-        counts = {j: 0 for j in range(1, self.m + 1)}
-        still = []
-        for completion, machine in self._inflight:
-            if completion > now:
-                counts[machine] += 1
-                still.append((completion, machine))
-        self._inflight = still  # drop finished entries
-        return counts
+        heap = self._inflight
+        counts = self._outstanding
+        while heap and heap[0][0] <= now:
+            counts[heappop(heap)[1]] -= 1
+        return dict(counts)
 
     def _record_dispatch(self, machine: int, completion: float) -> None:
-        self._inflight.append((completion, machine))
+        heappush(self._inflight, (completion, machine))
+        self._outstanding[machine] += 1
 
 
 class LeastOutstanding(_OutstandingTracker):
@@ -94,21 +101,16 @@ class C3Like(_OutstandingTracker):
         self.alpha = alpha
         self.ewma: dict[int, float] = {j: 1.0 for j in range(1, m + 1)}
         self.name = "C3"
-        #: (completion_time, machine, service_time) pending feedback
+        #: (completion_time, machine, service_time) min-heap of pending feedback
         self._pending_feedback: list[tuple[float, int, float]] = []
 
     def _absorb_feedback(self, now: float) -> None:
-        still = []
         # Feedback must be absorbed in completion order for the EWMA to
-        # be deterministic.
-        for completion, machine, service in sorted(self._pending_feedback):
-            if completion <= now:
-                self.ewma[machine] = (
-                    (1 - self.alpha) * self.ewma[machine] + self.alpha * service
-                )
-            else:
-                still.append((completion, machine, service))
-        self._pending_feedback = still
+        # be deterministic: the heap pops it in sorted order.
+        pending = self._pending_feedback
+        while pending and pending[0][0] <= now:
+            _, machine, service = heappop(pending)
+            self.ewma[machine] = (1 - self.alpha) * self.ewma[machine] + self.alpha * service
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         now = task.release
@@ -121,5 +123,5 @@ class C3Like(_OutstandingTracker):
         start = max(now, self.completions[machine])
         completion = start + task.proc
         self._record_dispatch(machine, completion)
-        self._pending_feedback.append((completion, machine, task.proc))
+        heappush(self._pending_feedback, (completion, machine, task.proc))
         return machine, frozenset(eligible)

@@ -21,6 +21,10 @@ Simulated metrics (mean/max flow, preemptions, requeues) come from the
 reference engine with the configured chaos fault schedule active; the
 traces are recorded fault-free so they stay valid
 :class:`~repro.core.schedule.Schedule` artefacts.
+
+:func:`run_compare` generates each load point's instance once and
+shares it with every policy's cell and, for the first load, the sanity
+line; only one load's instance is alive at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Any, Mapping
 
 from ..campaigns.spec import stable_seed
 from ..campaigns.trace import dump, record
+from ..core.task import Instance
 from ..faults.schedule import chaos_schedule
 from ..simulation.engine import Simulator
 from ..simulation.workload import WorkloadSpec, generate_workload
@@ -102,15 +107,22 @@ def _faults_for(config: CompareConfig, load: float, horizon: float):
 
 
 def compare_cell(
-    config: CompareConfig, policy: str, load: float, trace_dir: Path | None = None
+    config: CompareConfig,
+    policy: str,
+    load: float,
+    trace_dir: Path | None = None,
+    *,
+    instance: Instance | None = None,
 ) -> dict[str, Any]:
     """Run one ``(policy, load)`` cell; returns the metrics row.
 
     The simulated run uses the configured chaos faults; the optional
     trace is the policy's analytic fault-free schedule over the same
-    instance (a valid, replayable artefact either way).
+    instance (a valid, replayable artefact either way).  ``instance``
+    is the load point's shared instance when the caller already has
+    it; by default it is generated here.
     """
-    inst = _instance_for(config, load)
+    inst = instance if instance is not None else _instance_for(config, load)
     horizon = max((t.release for t in inst), default=0.0) + 1.0
     seed = stable_seed("compare-policy", config.seed, policy, f"{load:g}")
     sim = Simulator(
@@ -151,12 +163,13 @@ def compare_cell(
     return row
 
 
-def sanity_check(config: CompareConfig) -> dict[str, Any]:
+def sanity_check(
+    config: CompareConfig, *, instance: Instance | None = None
+) -> dict[str, Any]:
     """The provable ordering: fault-free identical machines, SRPT-PS
     mean flow ≤ EFT-Min mean flow on the shared instance of the first
-    load point."""
-    load = config.loads[0]
-    inst = _instance_for(config, load)
+    load point (``instance``, when the caller already has it)."""
+    inst = instance if instance is not None else _instance_for(config, config.loads[0])
     flows = {}
     for policy in ("srpt-ps", "eft-min"):
         sim = Simulator(get_scheduler(policy, config.m, seed=0))
@@ -209,14 +222,21 @@ def run_compare(
     """Run the whole grid; returns ``{"rows", "table", "sanity", ...}``.
 
     Rows are ordered load-major, policy in config order — the
-    deterministic layout the table and the smoke target rely on.
+    deterministic layout the table and the smoke target rely on.  Each
+    load's instance is generated once and dropped before the next
+    load's; the sanity line runs on the first one.
     """
-    rows = [
-        compare_cell(config, policy, load, trace_dir=trace_dir)
-        for load in config.loads
-        for policy in config.policies
-    ]
-    sanity = sanity_check(config)
+    rows = []
+    sanity = None
+    for load in config.loads:
+        inst = _instance_for(config, load)
+        rows.extend(
+            compare_cell(config, policy, load, trace_dir=trace_dir, instance=inst)
+            for policy in config.policies
+        )
+        if sanity is None:
+            sanity = sanity_check(config, instance=inst)
+        del inst
     table = render_table(rows)
     lines = [table, ""]
     lines.append(

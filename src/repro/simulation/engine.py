@@ -642,28 +642,27 @@ class Simulator:
 
     def _run_reference(self, until: float | None) -> SimulationResult:
         """The event loop (see :meth:`run` for semantics)."""
-        while self.events:
-            nxt = self.events.peek_time()
-            if until is not None and nxt is not None and nxt > until:
+        events = self.events
+        while events:
+            if until is not None and events.peek_time() > until:
                 break
-            ev = self.events.pop()
-            self.now = ev.time
-            if ev.kind is EventKind.RELEASE:
-                self._handle_release(ev.payload)
-            elif ev.kind is EventKind.COMPLETE:
-                self._handle_complete(*ev.payload)
-            elif ev.kind is EventKind.OBSERVE:
-                ev.payload(self)
-            elif ev.kind is EventKind.MACHINE_DOWN:
-                self._handle_machine_down(ev.payload)
-            elif ev.kind is EventKind.MACHINE_UP:
-                self._handle_machine_up(ev.payload)
-            elif ev.kind is EventKind.PREEMPT:
-                self._handle_preempt(ev.payload)
-            elif ev.kind is EventKind.RESUME:
-                self._handle_resume(ev.payload)
+            self.now, _, _, kind, payload = events.pop()
+            if kind is EventKind.RELEASE:
+                self._handle_release(payload)
+            elif kind is EventKind.COMPLETE:
+                self._handle_complete(*payload)
+            elif kind is EventKind.OBSERVE:
+                payload(self)
+            elif kind is EventKind.MACHINE_DOWN:
+                self._handle_machine_down(payload)
+            elif kind is EventKind.MACHINE_UP:
+                self._handle_machine_up(payload)
+            elif kind is EventKind.PREEMPT:
+                self._handle_preempt(payload)
+            elif kind is EventKind.RESUME:
+                self._handle_resume(payload)
             else:  # pragma: no cover - START events are implicit
-                raise RuntimeError(f"unexpected event kind {ev.kind}")
+                raise RuntimeError(f"unexpected event kind {kind}")
         if until is not None and self.now < until:
             self.now = until
         return self.result()

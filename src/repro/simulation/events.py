@@ -1,18 +1,25 @@
 """Event primitives for the discrete-event simulator.
 
-A minimal, allocation-light event core: events are ``(time, priority,
-seq, kind, payload)`` records ordered by time, then by a fixed
-per-kind priority, then by a monotone sequence number.
+A minimal, allocation-light event core.  Every event is one plain
+tuple ``(time, priority, seq, kind, payload)`` — an :class:`Event`
+named tuple, so callers read ``.time``, ``.kind`` and ``.payload`` —
+and the heap orders those tuples natively: by time, then by a fixed
+per-kind priority, then by a monotone sequence number.  ``seq`` is
+unique, so a comparison never reaches ``kind`` or ``payload``.
 
-The within-instant order is pinned: at equal times **MACHINE_UP fires
-before COMPLETE fires before MACHINE_DOWN fires before RELEASE fires
-before OBSERVE**, and events of the same kind fire in scheduling order
-(FIFO).  Completions-first (among work events) means a machine that
-frees up at :math:`t` is already idle when a task released at
-:math:`t` is dispatched — matching the analytic driver, where starts
-satisfy :math:`\\sigma_i = \\max(r_i, \\text{avail}_j)` with no notion
-of event order.  Releases-before-observers means an OBSERVE callback
-always sees the settled state of its instant (collectors sample after
+The within-instant order is pinned by :data:`_KIND_PRIORITY`: at
+equal times
+
+    MACHINE_UP < COMPLETE < RESUME < START < MACHINE_DOWN < RELEASE
+    < PREEMPT < OBSERVE
+
+and events of the same kind fire in scheduling order (FIFO).
+Completions-first (among work events) means a machine that frees up at
+:math:`t` is already idle when a task released at :math:`t` is
+dispatched — matching the analytic driver, where starts satisfy
+:math:`\\sigma_i = \\max(r_i, \\text{avail}_j)` with no notion of event
+order.  Releases-before-observers means an OBSERVE callback always
+sees the settled state of its instant (collectors sample after
 same-time arrivals; adversaries inject *after* the instant's natural
 events, in scheduling order).  The FIFO tie-break within a kind is
 what the paper's adversaries rely on (tasks released "in order" at the
@@ -23,17 +30,18 @@ The fault events bracket the instant's work: a machine recovering at
 task completing exactly when its machine fails (COMPLETE before
 MACHINE_DOWN) counts as completed — the work was done by :math:`t` —
 and a task released at the failure instant (MACHINE_DOWN before
-RELEASE) already sees the machine as dead.
+RELEASE) already sees the machine as dead.  A machine freed by a
+preemption is re-filled (RESUME) before the instant's failures and
+releases, and the preemption checks themselves (PREEMPT) run once the
+whole same-instant release batch has dispatched.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum, auto
-from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -49,6 +57,11 @@ class EventKind(Enum):
     MACHINE_UP = auto()  #: a failed machine recovers
     PREEMPT = auto()  #: re-evaluate a machine's running task (preemptive policies)
     RESUME = auto()  #: restart a machine freed by a preemption
+
+    # Members are singletons compared by identity, so the identity hash
+    # is exact — and C-level, unlike Enum's name hash, which every
+    # priority lookup on the push path would otherwise pay.
+    __hash__ = object.__hash__
 
 
 #: Same-instant firing order (lower fires first): recoveries make
@@ -72,26 +85,29 @@ _KIND_PRIORITY: dict[EventKind, int] = {
 }
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled simulator event (orderable by time, then kind
-    priority, then seq)."""
+class Event(NamedTuple):
+    """A scheduled simulator event: a plain tuple ordered by time, then
+    kind priority, then seq."""
 
     time: float
     priority: int
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
+
+
+_new_event = tuple.__new__  # builds an Event without NamedTuple's Python-level __new__
 
 
 class EventQueue:
-    """Binary-heap event queue with pinned within-time ordering
-    (COMPLETE < RELEASE < OBSERVE, FIFO within a kind)."""
+    """Binary-heap event queue with the pinned within-time ordering of
+    :data:`_KIND_PRIORITY`, FIFO within a kind."""
+
+    _NON_WORK = frozenset({EventKind.OBSERVE, EventKind.MACHINE_DOWN, EventKind.MACHINE_UP})
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._counter = itertools.count()
-        self._kind_counts: dict[EventKind, int] = {}
         #: True while the heap list is known to *be* the firing order:
         #: every push so far arrived in non-decreasing (time, priority)
         #: and nothing was popped.  Sorted pushes never sift, so the
@@ -101,39 +117,23 @@ class EventQueue:
         self._monotone = True
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event; returns the event object."""
-        priority = _KIND_PRIORITY[kind]
-        if self._monotone and self._heap:
-            last = self._heap[-1]
-            if (time, priority) < (last.time, last.priority):
-                self._monotone = False
-        ev = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            kind=kind,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, ev)
-        counts = self._kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
+        """Schedule an event; returns the event tuple."""
+        heap = self._heap
+        ev = _new_event(Event, (time, _KIND_PRIORITY[kind], next(self._counter), kind, payload))
+        # seq only grows, so ev sorts below the tail iff its
+        # (time, priority) does
+        if self._monotone and heap and ev < heap[-1]:
+            self._monotone = False
+        heapq.heappush(heap, ev)
         return ev
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        ev = heapq.heappop(self._heap)
-        counts = self._kind_counts
-        left = counts[ev.kind] - 1
-        if left:
-            counts[ev.kind] = left
-        else:
-            del counts[ev.kind]
-        if self._heap:
-            # popping reorders the heap list (the tail element moves to
-            # the root), so insertion order is no longer the list order
-            self._monotone = False
-        else:
-            self._monotone = True
+        heap = self._heap
+        ev = heapq.heappop(heap)
+        # popping reorders the heap list (the tail element moves to the
+        # root), so insertion order is no longer the list order
+        self._monotone = not heap
         return ev
 
     def peek_time(self) -> float | None:
@@ -149,26 +149,24 @@ class EventQueue:
         """
         if self._monotone:
             return list(self._heap)
-        return sorted(self._heap, key=attrgetter("time", "priority", "seq"))
+        return sorted(self._heap)
 
     def pending_kinds(self) -> set[EventKind]:
-        """The distinct kinds currently queued (O(1) eligibility probe
-        for the array backend — tracked incrementally, no scan)."""
-        return set(self._kind_counts)
+        """The distinct kinds currently queued (one scan; the array
+        backend probes it once per fresh run)."""
+        return {ev.kind for ev in self._heap}
 
     def clear(self) -> None:
         """Drop every pending event (the seq counter keeps running, so
         later pushes still order after everything ever scheduled)."""
         self._heap.clear()
-        self._kind_counts.clear()
         self._monotone = True
 
-    _NON_WORK = frozenset({EventKind.OBSERVE, EventKind.MACHINE_DOWN, EventKind.MACHINE_UP})
-
     def has_work(self) -> bool:
-        """Whether any *work* event (RELEASE/START/COMPLETE, as opposed
-        to OBSERVE callbacks or fault transitions) is still pending."""
-        return any(ev.kind not in self._NON_WORK for ev in self._heap)
+        """Whether any *work* event (anything but OBSERVE callbacks and
+        fault transitions) is still pending."""
+        non_work = self._NON_WORK
+        return any(ev.kind not in non_work for ev in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -1,10 +1,17 @@
 """Tests for the non-clairvoyant replica-selection policies."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Instance, Task, eft_schedule
 from repro.core.nonclairvoyant import C3Like, LeastOutstanding
+from repro.schedulers.ncsetup import NCSetup
+from repro.simulation import WorkloadSpec, generate_workload
 from tests.conftest import restricted_unit_instances
 
 
@@ -92,3 +99,118 @@ class TestAgainstEFT:
         eft_val = eft_schedule(inst, tiebreak="min").max_flow
         lor_val = LeastOutstanding(8).run(inst).max_flow
         assert lor_val <= 3 * eft_val + 2
+
+
+class _ScanOracle:
+    """The linear rescan the heap-backed tracker replaced: every call
+    walks the whole in-flight list and keeps what is still running."""
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.inflight: list[tuple[float, int]] = []
+
+    def outstanding(self, now: float) -> dict[int, int]:
+        counts = {j: 0 for j in range(1, self.m + 1)}
+        still = []
+        for completion, machine in self.inflight:
+            if completion > now:
+                counts[machine] += 1
+                still.append((completion, machine))
+        self.inflight = still
+        return counts
+
+    def record(self, machine: int, completion: float) -> None:
+        self.inflight.append((completion, machine))
+
+
+#: (release gap, start delay, service, machine): integral values, so
+#: completions land exactly on later releases all the time.
+_dispatches = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), st.integers(1, 4)
+    ),
+    max_size=80,
+)
+
+
+class TestOutstandingCounts:
+    @given(_dispatches)
+    @settings(max_examples=200, deadline=None)
+    def test_heap_counts_equal_the_linear_scan(self, stream):
+        tracker, oracle = LeastOutstanding(4), _ScanOracle(4)
+        now = 0
+        for gap, delay, service, machine in stream:
+            now += gap
+            assert tracker.outstanding(now) == oracle.outstanding(now)
+            completion = float(now + delay + service)
+            tracker._record_dispatch(machine, completion)
+            oracle.record(machine, completion)
+        for later in (now, now + 1, now + 10):
+            assert tracker.outstanding(later) == oracle.outstanding(later)
+
+    def test_completion_at_the_query_instant_is_not_outstanding(self):
+        tracker = LeastOutstanding(2)
+        tracker._record_dispatch(1, 2.0)
+        tracker._record_dispatch(2, 3.0)
+        assert tracker.outstanding(1.0) == {1: 1, 2: 1}
+        assert tracker.outstanding(2.0) == {1: 0, 2: 1}
+        assert tracker.outstanding(3.0) == {1: 0, 2: 0}
+
+    def test_returned_counts_are_a_snapshot(self):
+        tracker = LeastOutstanding(2)
+        tracker._record_dispatch(1, 5.0)
+        counts = tracker.outstanding(0.0)
+        counts[1] = 99
+        assert tracker.outstanding(0.0) == {1: 1, 2: 0}
+
+
+def _integral_instance(seed: int, m: int = 5, n: int = 300) -> Instance:
+    """Integral releases and sizes, random sets and keys: completions
+    coincide with later releases throughout."""
+    rng = np.random.default_rng(seed)
+    rel = np.sort(rng.integers(0, n // 2, size=n))
+    tasks = []
+    for i in range(n):
+        k = int(rng.integers(1, m + 1))
+        machines = frozenset(int(x) + 1 for x in rng.choice(m, size=k, replace=False))
+        tasks.append(
+            Task(
+                tid=i,
+                release=float(rel[i]),
+                proc=float(rng.integers(1, 4)),
+                machines=machines,
+                key=int(rng.integers(0, 4)),
+            )
+        )
+    return Instance(m=m, tasks=tuple(tasks))
+
+
+_INSTANCES = {
+    "workload": lambda: generate_workload(
+        WorkloadSpec(m=8, n=400, lam=7.2, k=3, size_dist="exp"), rng=7
+    ),
+    "integral": lambda: _integral_instance(3),
+}
+
+#: sha256 of ``[machines, repr(starts)]`` per (instance, policy),
+#: captured from the rescanning implementation.
+_PLACEMENT_DIGESTS = {
+    "workload/lor": "aa9b3ffb390213922cc25a5ccde2bb9c8e08721fc3ce68866b0ab7840452471e",
+    "workload/c3": "ea8702a9bc9f0d282ed08b5fd52237e0e84f363c579c9ad35f2fbd2ea22991f1",
+    "workload/nc-setup": "0e7102ed0075093616c017101f27c70bf54dc0ddfd9e42b58f0ef57b8a6bf4a9",
+    "integral/lor": "d5a45e4209a9b12aa51167189c9f7a643b03e76260c0052df77c60a48b0d7d47",
+    "integral/c3": "98d8c765b84bc8483b1c53bee8dd29b16274ab1f515409322749e5277f3be10b",
+    "integral/nc-setup": "a57f69c7809377c75ca883e9e64d88d86c3e04987e7ff8dd1b112d1b4f4cdb7e",
+}
+_POLICIES = {"lor": LeastOutstanding, "c3": C3Like, "nc-setup": NCSetup}
+
+
+@pytest.mark.parametrize("case", sorted(_PLACEMENT_DIGESTS))
+def test_placements_match_the_pinned_fixture(case):
+    instance_name, policy = case.split("/")
+    inst = _INSTANCES[instance_name]()
+    sched = _POLICIES[policy](inst.m).run(inst)
+    machines = [sched.machine_of(t.tid) for t in inst.tasks]
+    starts = [repr(sched.start_of(t.tid)) for t in inst.tasks]
+    digest = hashlib.sha256(json.dumps([machines, starts]).encode()).hexdigest()
+    assert digest == _PLACEMENT_DIGESTS[case]

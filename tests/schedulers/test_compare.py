@@ -1,12 +1,15 @@
 """The compare-schedulers grid: determinism, traces, campaign units."""
 
+import hashlib
+
 import pytest
 
 from repro.campaigns.runner import run_campaign
 from repro.campaigns.spec import get_unit_kind
 from repro.campaigns.trace import load as load_trace
 from repro.schedulers import CompareConfig, compare_cell, render_table, run_compare
-from repro.schedulers.compare import DEFAULT_POLICIES, sanity_check
+from repro.schedulers import compare
+from repro.schedulers.compare import DEFAULT_POLICIES, _instance_for, sanity_check
 from repro.schedulers.units import (
     COMPARE_UNIT_KIND,
     build_compare_campaign,
@@ -135,3 +138,53 @@ class TestCampaignUnits:
         b = build_compare_campaign(SMALL)
         assert a.spec_hash() == b.spec_hash()
         assert a.unit_hashes() == b.unit_hashes()
+
+
+#: The ``make zoo-smoke`` grid.
+SMOKE = CompareConfig(m=6, n=200, loads=(0.7, 0.9), seed=0)
+
+#: sha256 of the smoke grid's text and per-cell traces, captured from
+#: the implementation that regenerated the instance for every cell.
+_SMOKE_TEXT_SHA256 = "2595c1b92ab06884bc42678884ea1327b4514cfac0f5ceaaa91bfcf94fc7ae6b"
+_SMOKE_TRACE_SHA256 = {
+    "compare_eft-min_load0.7.trace.jsonl": "d137d4b01d578d7991c2275b6bc0ee4377a3c8cba334948e405c920989507a2d",
+    "compare_eft-min_load0.9.trace.jsonl": "3dc5f79c5ff5aacefb1a6343c4a979bf1dae8815842c29aab44bd9eeb815631d",
+    "compare_nc-setup_load0.7.trace.jsonl": "909dfa4c8030b5b3404bf275fbb40fba2618a4377a841655f6e8f22b23e146b5",
+    "compare_nc-setup_load0.9.trace.jsonl": "2aec8bb076b81af3d00e39043f229b7193d704b0f70b42c44af2b158318e263c",
+    "compare_speed-eft_load0.7.trace.jsonl": "a8c9ec9d776cd2b66b3b5eddbba403d087d7fa3046d2aaaafd35140224982a6b",
+    "compare_speed-eft_load0.9.trace.jsonl": "d56cd2473dc901e9739a50bd4b3ded166d00db2131cea6ba8d412cbe617a8d8a",
+    "compare_srpt-ps_load0.7.trace.jsonl": "63d0c0509998372feccaca650e8ad68a8eb859129cee16cad14b304950cf6a1c",
+    "compare_srpt-ps_load0.9.trace.jsonl": "2cad310d302a070c0c81ba14f828752a42e2d170c5749e17cfe5737d0d132ff0",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedGrid:
+    def test_smoke_grid_bytes_are_pinned(self, tmp_path):
+        out = run_compare(SMOKE, trace_dir=tmp_path)
+        assert _sha256(out["text"].encode()) == _SMOKE_TEXT_SHA256
+        traces = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert traces == _SMOKE_TRACE_SHA256
+
+    def test_one_instance_per_load(self, monkeypatch):
+        calls = []
+        generate = compare.generate_workload
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(compare, "generate_workload", counting)
+        run_compare(SMOKE)
+        assert [spec.lam for spec in calls] == [SMOKE.m * load for load in SMOKE.loads]
+
+    def test_shared_instance_equals_standalone(self):
+        inst = _instance_for(SMALL, 0.8)
+        for policy in DEFAULT_POLICIES:
+            assert compare_cell(SMALL, policy, 0.8, instance=inst) == compare_cell(
+                SMALL, policy, 0.8
+            )
+        assert sanity_check(SMALL, instance=inst) == sanity_check(SMALL)
