@@ -12,8 +12,9 @@ live asyncio service rather than inside the discrete-event simulator:
 * :mod:`~repro.serve.metrics` — live :mod:`repro.obs` metrics
   (flow histograms, shed counters, queue-depth gauges, canonical
   snapshot dumps);
-* :mod:`~repro.serve.frontend` — workers, fault kill/revive, the
-  protocol frontend (``repro serve``);
+* :mod:`~repro.serve.frontend` — the service, fault kill/revive, the
+  server loop (``repro serve``), over :mod:`~repro.serve.lanes` (the
+  timer-driven machine lanes both services share);
 * :mod:`~repro.serve.driver` — open-loop Poisson load generation
   (``repro drive``);
 * :mod:`~repro.serve.shadow` — virtual-time replay proving the service

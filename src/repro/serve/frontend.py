@@ -1,14 +1,14 @@
-"""The asyncio serving layer: workers, frontend, live faults.
+"""The asyncio serving layer: frontend, machine lanes, live faults.
 
 :class:`ServeService` enacts the virtual-clocked decisions of a
-:class:`~repro.serve.dispatcher.Dispatcher` in real time: one asyncio
-worker per machine pulls dispatched requests off its FIFO queue and
-"serves" each for ``proc * time_scale`` wall seconds — the same
-one-task-at-a-time, run-to-completion machine model as the engine.
-The frontend accepts :mod:`repro.serve.protocol` frames over a unix
-socket or TCP and answers every ``submit`` immediately with the
-dispatch decision (the push model: no response ever waits on service
-completion).
+:class:`~repro.serve.dispatcher.Dispatcher` in real time: each
+dispatched request joins its machine's FIFO lane
+(:class:`~repro.serve.lanes.MachineLanes`) and is "served" for
+``proc * time_scale`` wall seconds by one event-loop timer — the
+engine's run-to-completion machine model.  A
+:class:`~repro.serve.protocol.FrameConnection` per client answers every
+``submit`` with the dispatch decision from the socket's read callback
+(the push model: only ``drain`` waits on service completion).
 
 The division of labour is strict: *which machine gets a request* is
 decided by the dispatcher from the request's virtual release stamp, so
@@ -24,6 +24,9 @@ brings it back and re-dispatches parked requests.
 :class:`repro.faults.FaultSchedule` in scaled wall time, so the same
 outage scenarios used in degraded-mode simulation drive the live
 service.
+
+:class:`LiveService` and :func:`run_service` hold what this service
+shares with the sharded one (:mod:`repro.serve.shard.service`).
 """
 
 from __future__ import annotations
@@ -35,27 +38,29 @@ import stat as stat_module
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from ..campaigns.trace import make_scheduler
 from ..faults.schedule import FaultSchedule
+from ..obs.recorders import MetricsRegistry
 from ..obs.snapshot import write_metrics
 from .admission import AdmissionController
 from .dispatcher import DISPATCHED, REQUEUED, DispatchDecision, Dispatcher
 from .journal import Journal, Recovery
+from .lanes import MachineLanes
 from .metrics import ServeMetrics
 from .protocol import (
+    FrameConnection,
     ProtocolError,
     check_version,
-    read_frame,
     task_from_wire,
     task_to_wire,
     version_error,
-    write_frame,
 )
 
 __all__ = [
     "AddressInUseError",
+    "LiveService",
     "ServeConfig",
     "ServeService",
     "build_service",
@@ -79,14 +84,14 @@ class AddressInUseError(OSError):
 
 
 async def start_endpoint(
-    on_connection: Any,
+    protocol_factory: Callable[[], asyncio.Protocol],
     socket_path: str | Path | None = None,
     host: str | None = None,
     port: int | None = None,
 ) -> asyncio.AbstractServer:
-    """Bind the server endpoint, translating EADDRINUSE into the typed
-    :class:`AddressInUseError` (shared by ``serve`` and
-    ``serve_sharded``).
+    """Bind the server endpoint for ``protocol_factory`` (one protocol
+    instance per connection, e.g. :meth:`LiveService.connection`),
+    translating EADDRINUSE into the typed :class:`AddressInUseError`.
 
     TCP binds surface EADDRINUSE on their own.  Unix sockets need a
     probe: asyncio *unlinks* an existing socket path before binding —
@@ -94,13 +99,14 @@ async def start_endpoint(
     existing path that still accepts connections is refused here, and
     only a stale one (dead server, connection refused) is rebound.
     """
+    loop = asyncio.get_running_loop()
     try:
         if socket_path is not None:
             path = str(socket_path)
             if _unix_socket_active(path):
                 raise AddressInUseError(path, OSError(errno.EADDRINUSE, "address in use"))
-            return await asyncio.start_unix_server(on_connection, path=path)
-        return await asyncio.start_server(on_connection, host=host, port=port)
+            return await loop.create_unix_server(protocol_factory, path=path)
+        return await loop.create_server(protocol_factory, host=host, port=port)
     except AddressInUseError:
         raise
     except OSError as exc:
@@ -220,12 +226,147 @@ def build_service(config: ServeConfig) -> "ServeService":
     )
 
 
-class ServeService:
+class LiveService:
+    """The real-time half both services share.
+
+    A subclass sets ``m``, ``time_scale`` and ``lanes`` in its
+    constructor and supplies ``kill``/``revive`` (the fault surface),
+    ``_submit_op`` (the ``submit`` frame), ``on_error`` (counts a
+    rejected frame), ``stats``, ``registry`` (what the metrics dump
+    writes) and ``snapshot_source``; it may answer extra ops in
+    ``_admin_op``.  Must be :meth:`start`-ed inside a running event
+    loop; :meth:`stop` cancels the in-flight timers.
+    """
+
+    m: int
+    time_scale: float
+    lanes: MachineLanes
+    snapshot_source = "repro-serve"
+    _t0: float | None = None
+
+    # -- lifecycle -----------------------------------------------------------
+    async def start(self) -> None:
+        self.lanes.start()
+        self._t0 = asyncio.get_running_loop().time()
+
+    async def stop(self) -> None:
+        self.lanes.stop()
+
+    def now(self) -> float:
+        """Wall time since :meth:`start`, in virtual units."""
+        if self._t0 is None:
+            return 0.0
+        return (asyncio.get_running_loop().time() - self._t0) / self.time_scale
+
+    @property
+    def n_completed(self) -> int:
+        return self.lanes.n_completed
+
+    async def drain(self) -> int:
+        """Wait until every dispatched request finished service (parked
+        requests don't count — they hold no machine); returns the
+        completion count so far."""
+        return await self.lanes.drain()
+
+    # -- fault surface -------------------------------------------------------
+    async def apply_faults(self, faults: FaultSchedule) -> None:
+        """Replay ``faults`` in scaled wall time (run as a background
+        task alongside the frontend)."""
+        if faults.max_machine() > self.m:
+            raise ValueError(
+                f"fault schedule references machine {faults.max_machine()}, "
+                f"but the service has m={self.m}"
+            )
+        loop = asyncio.get_running_loop()
+        t0 = self._t0 if self._t0 is not None else loop.time()
+        for time_, kind, machine in faults.events():
+            delay = t0 + time_ * self.time_scale - loop.time()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            if kind == "down":
+                self.kill(machine)
+            else:
+                self.revive(machine)
+
+    # -- introspection -------------------------------------------------------
+    def write_metrics(self, path: str | Path) -> None:
+        """Dump the canonical metrics snapshot of :meth:`registry`."""
+        write_metrics(self.registry(), path, meta={"source": self.snapshot_source})
+
+    async def snapshot_loop(self, path: str | Path, every: float) -> None:
+        """Periodically dump the canonical metrics snapshot to ``path``
+        (run as a background task; the final state is written by the
+        server loop on shutdown)."""
+        while True:
+            await asyncio.sleep(every)
+            self.write_metrics(path)
+
+    # -- frontend ------------------------------------------------------------
+    def connection(self, stop_event: asyncio.Event | None = None) -> FrameConnection:
+        """One connection's protocol (a factory for :func:`start_endpoint`);
+        ``shutdown`` sets ``stop_event``.  A peer that vanishes just ends
+        the connection: committed state stands, and a retry is answered
+        from the dedupe cache."""
+        return FrameConnection(self.handle, self.on_error, stop_event)
+
+    def handle(self, message: dict[str, Any]) -> dict[str, Any] | Awaitable[dict[str, Any]]:
+        """The response to one request frame; ``drain`` answers with an
+        awaitable, which holds back the connection's later frames."""
+        complaint = check_version(message)
+        if complaint is not None:
+            self.on_error()
+            return version_error(message, complaint)
+        op = message.get("op")
+        if op == "submit":
+            return self._submit_op(message)
+        if op == "ping":
+            return self._pong()
+        if op == "stats":
+            return {"ok": True, "op": "stats", "stats": self.stats()}
+        if op == "drain":
+            return self._drain_op()
+        if op == "shutdown":
+            return {"ok": True, "op": "shutdown"}
+        response = self._admin_op(op, message)
+        if response is None:
+            self.on_error()
+            response = {"ok": False, "error": f"unknown op {op!r}"}
+        return response
+
+    def _pong(self) -> dict[str, Any]:
+        return {"ok": True, "op": "pong", "now": self.now()}
+
+    async def _drain_op(self) -> dict[str, Any]:
+        return {"ok": True, "op": "drain", "completed": await self.drain()}
+
+    def _admin_op(self, op: Any, message: dict[str, Any]) -> dict[str, Any] | None:
+        return None
+
+    def _submit_error(self, message: dict[str, Any], exc: Exception) -> dict[str, Any]:
+        self.on_error()
+        return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
+
+    @staticmethod
+    def _submit_response(decision: DispatchDecision) -> dict[str, Any]:
+        return {
+            "ok": True,
+            "op": "submit",
+            "tid": decision.task.tid,
+            "status": decision.status,
+            "machine": decision.machine,
+            "start": decision.start,
+            "est_flow": decision.est_flow,
+            "reason": decision.reason,
+        }
+
+
+class ServeService(LiveService):
     """Real-time enactment of a :class:`Dispatcher`.
 
-    Must be :meth:`start`-ed inside a running event loop; :meth:`stop`
-    cancels the workers.  ``time_scale`` converts virtual time units to
-    wall seconds.
+    ``time_scale`` converts virtual time units to wall seconds.  With a
+    ``journal``, every state transition is logged before it is
+    acknowledged; with a ``recovery``, the work the crashed process
+    placed but did not finish is re-enqueued on :meth:`start`.
     """
 
     def __init__(
@@ -246,21 +387,19 @@ class ServeService:
         self.journal = journal
         self.recovery = recovery
         self.journal_snapshot_every = journal_snapshot_every
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._workers: list[asyncio.Task] = []
-        self._t0: float | None = None
-        self._outstanding = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self.n_completed = 0
-        self._completed_tids: set[int] = set()
+        recovered = recovery is not None
+        self._completed_tids: set[int] = set(recovery.completed) if recovered else set()
         #: dedupe key -> original decision (idempotent retries are
         #: answered from here without touching the dispatcher).
-        self._dedupe: dict[str, DispatchDecision] = {}
-        if recovery is not None:
-            self.n_completed = recovery.n_completed
-            self._completed_tids = set(recovery.completed)
-            self._dedupe = dict(recovery.dedupe)
+        self._dedupe: dict[str, DispatchDecision] = dict(recovery.dedupe) if recovered else {}
+        self.lanes = MachineLanes(
+            self.m,
+            time_scale,
+            alive=lambda machine: machine in self.dispatcher.alive,
+            on_complete=self._on_complete,
+            on_displaced=self._route_displaced,
+            completed=recovery.n_completed if recovered else 0,
+        )
 
     # -- journal plumbing ----------------------------------------------------
     def _journal_append(self, kind: str, data: dict[str, Any], commit: bool = False) -> None:
@@ -301,96 +440,42 @@ class ServeService:
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
-        if self._workers:
-            raise RuntimeError("service already started")
-        loop = asyncio.get_running_loop()
-        self._t0 = loop.time()
-        self._queues = {j: asyncio.Queue() for j in range(1, self.m + 1)}
-        self._workers = [
-            loop.create_task(self._worker(j), name=f"serve-worker-{j}")
-            for j in range(1, self.m + 1)
-        ]
+        await super().start()
         if self.recovery is not None:
             # Re-enqueue the work the crashed process had placed but
             # not finished (at-least-once service; dispatch stays
             # exactly-once through the journal + dedupe cache).
-            arrival = loop.time()
+            arrival = asyncio.get_running_loop().time()
             for tid, machine in self.recovery.pending():
-                task = self.dispatcher._tasks[tid]
-                self._outstanding += 1
-                self._idle.clear()
-                self._queues[machine].put_nowait((task, arrival))
+                self.lanes.push(machine, self.dispatcher._tasks[tid], arrival)
 
     async def stop(self) -> None:
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
+        await super().stop()
         if self.journal is not None:
             self.journal.close()
-
-    def now(self) -> float:
-        """Wall time since :meth:`start`, in virtual units."""
-        if self._t0 is None:
-            return 0.0
-        return (asyncio.get_running_loop().time() - self._t0) / self.time_scale
 
     # -- request path --------------------------------------------------------
     def submit(self, task) -> DispatchDecision:
         """Decide and, if dispatched, enqueue for real-time service."""
         decision = self.dispatcher.submit(task)
         if decision.status == DISPATCHED:
-            self._enqueue(decision)
+            self.lanes.push(decision.machine, task)
         return decision
 
-    def _enqueue(self, decision: DispatchDecision) -> None:
-        self._outstanding += 1
-        self._idle.clear()
-        arrival = asyncio.get_running_loop().time()
-        self._queues[decision.machine].put_nowait((decision.task, arrival))
-
-    async def _worker(self, machine: int) -> None:
-        queue = self._queues[machine]
-        while True:
-            task, arrival = await queue.get()
-            if machine not in self.dispatcher.alive:
-                # Killed with work still queued (race with kill's own
-                # drain): route it like any displaced task.
-                self._outstanding -= 1
-                self._route_displaced(task, arrival)
-                self._settle()
-                continue
-            await asyncio.sleep(task.proc * self.time_scale)
-            loop_now = asyncio.get_running_loop().time()
-            self.metrics.on_complete((loop_now - arrival) / self.time_scale)
-            self.n_completed += 1
-            self._completed_tids.add(task.tid)
-            # Completion durability rides the batch: a torn tail
-            # ``complete`` only re-serves idempotent simulated work.
-            self._journal_append("complete", {"tid": task.tid})
-            self._outstanding -= 1
-            self._settle()
-
-    def _settle(self) -> None:
-        if self._outstanding == 0:
-            self._idle.set()
+    def _on_complete(self, machine: int, task, wall_flow: float) -> None:
+        self.metrics.on_complete(wall_flow)
+        self._completed_tids.add(task.tid)
+        # Completion durability rides the batch: a torn tail
+        # ``complete`` only re-serves idempotent simulated work.
+        self._journal_append("complete", {"tid": task.tid})
 
     def _route_displaced(self, task, arrival: float) -> None:
         now = self.now()
         self._journal_append("redispatch", {"tid": task.tid, "now": now}, commit=True)
         decision = self.dispatcher.redispatch(task, now)
         if decision.status == REQUEUED:
-            self._outstanding += 1
-            self._idle.clear()
-            self._queues[decision.machine].put_nowait((task, arrival))
-        # parked: it re-enters the queues at the next revive
-
-    async def drain(self) -> int:
-        """Wait until every dispatched request finished service (parked
-        requests don't count — they hold no machine); returns the
-        completion count so far."""
-        await self._idle.wait()
-        return self.n_completed
+            self.lanes.push(decision.machine, task, arrival)
+        # parked: it re-enters the lanes at the next revive
 
     # -- fault surface -------------------------------------------------------
     def kill(self, machine: int) -> int:
@@ -399,50 +484,22 @@ class ServeService:
         finishes — drain-on-failure).  Returns how many were displaced."""
         self._journal_append("kill", {"machine": machine, "now": self.now()}, commit=True)
         self.dispatcher.kill(machine)
-        displaced = []
-        queue = self._queues.get(machine)
-        if queue is not None:
-            while not queue.empty():
-                displaced.append(queue.get_nowait())
-        for task, arrival in displaced:
-            self._outstanding -= 1
-            self._route_displaced(task, arrival)
-        self._settle()
-        return len(displaced)
+        return self.lanes.kill(machine)
 
     def revive(self, machine: int) -> int:
         """Revive ``machine`` and enqueue any unparked requests;
         returns how many left the parking lot."""
-        arrival = asyncio.get_running_loop().time()
         now = self.now()
         self._journal_append("revive", {"machine": machine, "now": now}, commit=True)
         unparked = self.dispatcher.revive(machine, now)
         for decision in unparked:
-            self._outstanding += 1
-            self._idle.clear()
-            self._queues[decision.machine].put_nowait((decision.task, arrival))
+            self.lanes.push(decision.machine, decision.task)
         return len(unparked)
 
-    async def apply_faults(self, faults: FaultSchedule) -> None:
-        """Replay ``faults`` in scaled wall time (run as a background
-        task alongside the frontend)."""
-        if faults.max_machine() > self.m:
-            raise ValueError(
-                f"fault schedule references machine {faults.max_machine()}, "
-                f"but the service has m={self.m}"
-            )
-        loop = asyncio.get_running_loop()
-        t0 = self._t0 if self._t0 is not None else loop.time()
-        for time_, kind, machine in faults.events():
-            delay = t0 + time_ * self.time_scale - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if kind == "down":
-                self.kill(machine)
-            else:
-                self.revive(machine)
-
     # -- introspection -------------------------------------------------------
+    def registry(self) -> MetricsRegistry:
+        return self.metrics.registry
+
     def stats(self) -> dict[str, Any]:
         """Service counters plus the live metrics snapshot (the
         ``stats`` op payload)."""
@@ -457,7 +514,7 @@ class ServeService:
             "requeued": d.n_requeued,
             "parked": len(d.parked),
             "completed": self.n_completed,
-            "outstanding": self._outstanding,
+            "outstanding": self.lanes.outstanding,
             "metrics": self.metrics.registry.snapshot(),
         }
         if self.journal is not None:
@@ -474,116 +531,80 @@ class ServeService:
             }
         return stats
 
-    async def snapshot_loop(self, path: str | Path, every: float) -> None:
-        """Periodically dump the canonical metrics snapshot to ``path``
-        (run as a background task; the final state is written by
-        :func:`serve` on shutdown)."""
-        while True:
-            await asyncio.sleep(every)
-            write_metrics(self.metrics.registry, path, meta={"source": "repro-serve"})
-
     # -- frontend ------------------------------------------------------------
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        stop_event: asyncio.Event | None = None,
-    ) -> None:
-        """Serve one protocol connection until EOF (or ``shutdown``,
-        which also sets ``stop_event`` for the server loop).  A peer
-        that vanishes mid-response (reset, broken pipe — routine under
-        chaos) just ends the connection; state already committed for
-        the request stays committed, and the client's retry will be
-        answered from the dedupe cache."""
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except ProtocolError as exc:
-                    self.metrics.on_error()
-                    await write_frame(writer, {"ok": False, "error": str(exc)})
-                    break  # framing is lost; drop the connection
-                if message is None:
-                    break
-                response = await self._handle_op(message)
-                await write_frame(writer, response)
-                if message.get("op") == "shutdown":
-                    if stop_event is not None:
-                        stop_event.set()
-                    break
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
+    def on_error(self) -> None:
+        self.metrics.on_error()
 
-    @staticmethod
-    def _submit_response(decision: DispatchDecision) -> dict[str, Any]:
-        return {
-            "ok": True,
-            "op": "submit",
-            "tid": decision.task.tid,
-            "status": decision.status,
-            "machine": decision.machine,
-            "start": decision.start,
-            "est_flow": decision.est_flow,
-            "reason": decision.reason,
-        }
-
-    async def _handle_op(self, message: dict[str, Any]) -> dict[str, Any]:
-        complaint = check_version(message)
-        if complaint is not None:
-            self.metrics.on_error()
-            return version_error(message, complaint)
-        op = message.get("op")
-        if op == "ping":
-            return {"ok": True, "op": "pong", "now": self.now()}
-        if op == "submit":
-            key = message.get("dedupe")
-            if key is not None and not isinstance(key, str):
-                self.metrics.on_error()
-                return {
-                    "ok": False,
-                    "op": "submit",
-                    "tid": message.get("tid"),
-                    "error": f"dedupe key must be a string, got {type(key).__name__}",
-                }
-            if key is not None and key in self._dedupe:
+    def _submit_op(self, message: dict[str, Any]) -> dict[str, Any]:
+        key = message.get("dedupe")
+        if key is not None:
+            if not isinstance(key, str):
+                return self._submit_error(
+                    message, TypeError(f"dedupe key must be a string, got {type(key).__name__}")
+                )
+            if key in self._dedupe:
                 self.metrics.registry.counter("dedupe_hits_total").inc()
                 return self._submit_response(self._dedupe[key])
-            try:
-                task = task_from_wire(message)
-            except ProtocolError as exc:
-                self.metrics.on_error()
-                return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
-            # Write-ahead: the journal record lands (and syncs) before
-            # the decision is taken or acknowledged, so a crash after
-            # this line replays the submit and a retried duplicate hits
-            # the rebuilt dedupe cache instead of re-dispatching.
-            self._journal_append(
-                "submit", {"task": task_to_wire(task), "dedupe": key}, commit=True
-            )
-            try:
-                decision = self.submit(task)
-            except ValueError as exc:
-                self.metrics.on_error()
-                return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
-            if key is not None:
-                self._dedupe[key] = decision
-            self._maybe_snapshot()
-            return self._submit_response(decision)
-        if op == "stats":
-            return {"ok": True, "op": "stats", "stats": self.stats()}
-        if op == "drain":
-            completed = await self.drain()
-            return {"ok": True, "op": "drain", "completed": completed}
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
-        self.metrics.on_error()
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        try:
+            task = task_from_wire(message)
+        except ProtocolError as exc:
+            return self._submit_error(message, exc)
+        # Write-ahead: the journal record lands (and syncs) before the
+        # decision is taken or acknowledged, so a crash after this line
+        # replays the submit and a retried duplicate hits the rebuilt
+        # dedupe cache instead of re-dispatching.
+        self._journal_append("submit", {"task": task_to_wire(task), "dedupe": key}, commit=True)
+        try:
+            decision = self.submit(task)
+        except ValueError as exc:
+            return self._submit_error(message, exc)
+        if key is not None:
+            self._dedupe[key] = decision
+        self._maybe_snapshot()
+        return self._submit_response(decision)
+
+
+async def run_service(
+    service: LiveService,
+    config: Any,
+    socket_path: str | Path | None,
+    host: str | None,
+    port: int | None,
+    faults: FaultSchedule | None,
+) -> dict[str, Any]:
+    """The server loop of :func:`serve` and ``serve_sharded``: start
+    ``service``, bind the endpoint, run the fault replay and the
+    ``config.snapshot_path`` metrics dumps, and return the final stats
+    once a client sends ``shutdown`` (or the task is cancelled)."""
+    await service.start()
+    stop_event = asyncio.Event()
+    try:
+        server = await start_endpoint(
+            lambda: service.connection(stop_event), socket_path=socket_path, host=host, port=port
+        )
+    except OSError:
+        await service.stop()
+        raise
+    background: list[asyncio.Task] = []
+    loop = asyncio.get_running_loop()
+    if faults is not None and faults:
+        background.append(loop.create_task(service.apply_faults(faults)))
+    snapshot_path = config.snapshot_path
+    if snapshot_path is not None:
+        background.append(
+            loop.create_task(service.snapshot_loop(snapshot_path, config.snapshot_every))
+        )
+    try:
+        async with server:
+            await stop_event.wait()
+    finally:
+        for task in background:
+            task.cancel()
+        await asyncio.gather(*background, return_exceptions=True)
+        await service.stop()
+        if snapshot_path is not None:
+            service.write_metrics(snapshot_path)
+    return service.stats()
 
 
 async def serve(
@@ -601,38 +622,4 @@ async def serve(
     """
     if (socket_path is None) == (host is None or port is None):
         raise ValueError("serve needs exactly one of socket_path or host+port")
-    service = build_service(config)
-    await service.start()
-    stop_event = asyncio.Event()
-
-    async def on_connection(reader, writer):
-        await service.handle_connection(reader, writer, stop_event)
-
-    try:
-        server = await start_endpoint(
-            on_connection, socket_path=socket_path, host=host, port=port
-        )
-    except OSError:
-        await service.stop()
-        raise
-    background: list[asyncio.Task] = []
-    loop = asyncio.get_running_loop()
-    if faults is not None and faults:
-        background.append(loop.create_task(service.apply_faults(faults)))
-    if config.snapshot_path is not None:
-        background.append(
-            loop.create_task(service.snapshot_loop(config.snapshot_path, config.snapshot_every))
-        )
-    try:
-        async with server:
-            await stop_event.wait()
-    finally:
-        for task in background:
-            task.cancel()
-        await asyncio.gather(*background, return_exceptions=True)
-        await service.stop()
-        if config.snapshot_path is not None:
-            write_metrics(
-                service.metrics.registry, config.snapshot_path, meta={"source": "repro-serve"}
-            )
-    return service.stats()
+    return await run_service(build_service(config), config, socket_path, host, port, faults)

@@ -93,8 +93,11 @@ class JournalRecord:
     data: Mapping[str, Any]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(envelope: dict[str, Any]) -> str:
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(envelope)
 
 
 def _crc(envelope: dict[str, Any]) -> int:
@@ -102,10 +105,13 @@ def _crc(envelope: dict[str, Any]) -> int:
 
 
 def encode_record(seq: int, kind: str, data: Mapping[str, Any]) -> str:
-    """Serialise one record to its JSONL line (no trailing newline)."""
-    envelope = {"v": JOURNAL_VERSION, "seq": seq, "kind": kind, "data": dict(data)}
-    envelope["crc"] = _crc({k: envelope[k] for k in ("v", "seq", "kind", "data")})
-    return _canonical(envelope)
+    """Serialise one record to its JSONL line (no trailing newline):
+    the canonical envelope without ``crc`` is the CRC input and, as
+    ``crc`` sorts first, the rest of the line after ``{"crc":c,``."""
+    if not isinstance(data, dict):
+        data = dict(data)
+    body = _canonical({"v": JOURNAL_VERSION, "seq": seq, "kind": kind, "data": data})
+    return '{"crc":%d,' % zlib.crc32(body.encode("utf-8")) + body[1:]
 
 
 def decode_record(line: str) -> JournalRecord:
@@ -215,10 +221,8 @@ class Journal:
         self.snapshot_state: dict[str, Any] | None = None
         self.snapshot_seq = 0
         self.n_dropped_tail = 0
-        self._pending_records: list[JournalRecord] = self._load()
-        self.seq = (
-            self._pending_records[-1].seq if self._pending_records else self.snapshot_seq
-        )
+        self._loaded: list[JournalRecord] = self._load()
+        self.seq = self._loaded[-1].seq if self._loaded else self.snapshot_seq
         self._fh = open(self._wal_path, "a", encoding="utf-8")
         self._unsynced = 0
 
@@ -245,11 +249,12 @@ class Journal:
     @property
     def has_state(self) -> bool:
         """Whether recovery has anything to rebuild from."""
-        return self.snapshot_state is not None or bool(self._pending_records)
+        return self.snapshot_state is not None or self.seq > 0
 
     def records(self) -> Iterator[JournalRecord]:
-        """The intact records after the snapshot, in append order."""
-        return iter(list(self._pending_records))
+        """The intact records after the snapshot, as read back when the
+        journal was opened (appended records are on disk only)."""
+        return iter(list(self._loaded))
 
     # -- appending -----------------------------------------------------------
     def append(self, kind: str, data: Mapping[str, Any], commit: bool = False) -> int:
@@ -259,7 +264,6 @@ class Journal:
         self.seq += 1
         line = encode_record(self.seq, kind, data)
         self._fh.write(line + "\n")
-        self._pending_records.append(JournalRecord(self.seq, kind, dict(data)))
         self._unsynced += 1
         if commit or (self.fsync == "batch" and self._unsynced >= self.batch_records):
             self.commit()
@@ -279,7 +283,8 @@ class Journal:
     # -- snapshots + compaction ----------------------------------------------
     def write_snapshot(self, state: Mapping[str, Any]) -> None:
         """Atomically persist ``state`` at the current seq and compact
-        the WAL down to the (normally empty) suffix after it."""
+        the WAL: every record is covered by the snapshot, so the WAL
+        restarts empty."""
         envelope: dict[str, Any] = {
             "v": JOURNAL_VERSION,
             "seq": self.seq,
@@ -295,9 +300,8 @@ class Journal:
         self.snapshot_state = dict(state)
         self.snapshot_seq = self.seq
         self._fh.close()
-        suffix = [r for r in self._pending_records if r.seq > self.snapshot_seq]
-        self._rewrite_wal(suffix)
-        self._pending_records = suffix
+        self._rewrite_wal([])
+        self._loaded = []
         self._fh = open(self._wal_path, "a", encoding="utf-8")
         self._unsynced = 0
 

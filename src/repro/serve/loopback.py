@@ -1,9 +1,9 @@
 """Self-contained loopback runs: service + driver in one event loop.
 
 The zero-setup way to exercise the whole serving stack — frontend,
-protocol, dispatcher, admission, workers, metrics — without a separate
-server process: a unix socket in a temporary directory, the service on
-one side, the driver on the other.  Used by ``repro bench-serve``,
+protocol, dispatcher, admission, machine lanes, metrics — without a
+separate server process: a unix socket in a temporary directory, the
+service on one side, the driver on the other.  Used by ``repro bench-serve``,
 ``make serve-smoke`` and the throughput benchmark.
 """
 
@@ -17,7 +17,7 @@ from ..faults.schedule import FaultSchedule
 from ..obs.snapshot import write_metrics
 from ..core.task import Instance
 from .driver import DriveReport, drive
-from .frontend import ServeConfig, build_service
+from .frontend import ServeConfig, build_service, start_endpoint
 
 __all__ = ["run_loopback", "run_loopback_sync"]
 
@@ -43,10 +43,7 @@ async def run_loopback(
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         socket_path = str(Path(tmp) / "serve.sock")
 
-        async def on_connection(reader, writer):
-            await service.handle_connection(reader, writer)
-
-        server = await asyncio.start_unix_server(on_connection, path=socket_path)
+        server = await start_endpoint(service.connection, socket_path=socket_path)
         try:
             if faults is not None and faults:
                 fault_task = asyncio.get_running_loop().create_task(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..obs.recorders import MetricsRegistry
+from ..obs.recorders import Gauge, MetricsRegistry
 from ..obs.sim import DEFAULT_FLOW_EDGES
 
 __all__ = ["ServeMetrics"]
@@ -53,6 +53,8 @@ class ServeMetrics:
         self.errors = self.registry.counter("errors_total")
         self.est_flow = self.registry.histogram("est_flow", flow_edges)
         self.wall_flow = self.registry.histogram("wall_flow", flow_edges)
+        #: ``queue_depth[j]`` gauges, created on machine j's first dispatch.
+        self._depth: dict[int, Gauge] = {}
 
     # -- decision path (dispatcher core) ------------------------------------
     def on_request(self) -> None:
@@ -101,7 +103,10 @@ class ServeMetrics:
         self.registry.gauge("alive_machines").set(n_alive)
 
     def set_depth(self, machine: int, depth: int) -> None:
-        self.registry.gauge(f"queue_depth[{machine}]").set(depth)
+        gauge = self._depth.get(machine)
+        if gauge is None:
+            gauge = self._depth[machine] = self.registry.gauge(f"queue_depth[{machine}]")
+        gauge.set(depth)
 
     # -- completion path (service layer) ------------------------------------
     def on_complete(self, wall_flow: float) -> None:

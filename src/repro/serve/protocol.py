@@ -39,11 +39,15 @@ version (the pre-versioning wire form stays valid); frames carrying a
 both versions, so a router and a shard built from different revisions
 detect the skew on the first frame instead of mis-parsing each other
 (:func:`check_version`, :func:`versioned`).
+
+Servers answer frames from the transport callback of a
+:class:`FrameConnection`; clients use :func:`read_frame`/:func:`write_frame`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import math
 import struct
@@ -52,6 +56,7 @@ from typing import Any
 from ..core.task import Task
 
 __all__ = [
+    "FrameConnection",
     "FrameTooLargeError",
     "MAX_FRAME",
     "PROTOCOL_VERSION",
@@ -76,6 +81,7 @@ PROTOCOL_VERSION = 1
 MAX_FRAME = 1 << 20
 
 _HEADER = struct.Struct(">I")
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 class ProtocolError(ValueError):
@@ -120,7 +126,7 @@ def validate_length(length: object) -> int:
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """Serialise ``message`` to one wire frame (header + JSON body)."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    body = _COMPACT.encode(message).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLargeError(f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}")
     return _HEADER.pack(len(body)) + body
@@ -157,6 +163,90 @@ async def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> 
     """Encode and send one frame, waiting for the transport to drain."""
     writer.write(encode_frame(message))
     await writer.drain()
+
+
+class FrameConnection(asyncio.Protocol):
+    """The server side of one connection: each frame goes to the
+    synchronous ``handle(message)`` and its response is written from
+    the same transport callback.  ``handle`` may return an awaitable
+    (``drain``); later frames are held back until it resolves, so
+    responses keep request order.  A framing error calls ``on_error()``
+    once, answers one error frame and closes; ``shutdown`` is answered,
+    sets ``stop_event`` and closes.  Paused writing pauses reading."""
+
+    def __init__(self, handle, on_error, stop_event: asyncio.Event | None = None) -> None:
+        self._handle = handle
+        self._on_error = on_error
+        self._stop_event = stop_event
+        self._buf = bytearray()
+        self._transport: asyncio.Transport | None = None
+        self._held: asyncio.Future | None = None
+        self._eof = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._held is not None:
+            self._held.cancel()
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        self._process()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._process()
+        return True  # the transport closes once held frames are answered
+
+    def _process(self) -> None:
+        buf, transport = self._buf, self._transport
+        while self._held is None and not transport.is_closing() and len(buf) >= _HEADER.size:
+            try:
+                end = _HEADER.size + validate_length(_HEADER.unpack_from(buf)[0])
+                if len(buf) < end:
+                    break
+                message = decode_frame(buf[_HEADER.size : end])
+            except ProtocolError as exc:
+                self._fail(exc)  # an oversize body is never buffered
+                return
+            del buf[:end]
+            response = self._handle(message)
+            if inspect.isawaitable(response):
+                self._held = asyncio.ensure_future(response)
+                self._held.add_done_callback(lambda held: self._release(message, held))
+                return
+            self._respond(message, response)
+        if self._eof and self._held is None and not transport.is_closing():
+            if buf:
+                where = "header" if len(buf) < _HEADER.size else "frame"
+                self._fail(ProtocolError(f"connection closed mid-{where}"))
+            transport.close()
+
+    def _respond(self, message: dict[str, Any], response: dict[str, Any]) -> None:
+        self._transport.write(encode_frame(response))
+        if message.get("op") == "shutdown":
+            if self._stop_event is not None:
+                self._stop_event.set()
+            self._transport.close()
+
+    def _release(self, message: dict[str, Any], held: asyncio.Future) -> None:
+        self._held = None
+        if held.cancelled() or self._transport.is_closing():
+            return
+        self._respond(message, held.result())
+        self._process()
+
+    def _fail(self, exc: ProtocolError) -> None:
+        self._on_error()
+        self._transport.write(encode_frame({"ok": False, "error": str(exc)}))
+        self._transport.close()
 
 
 def versioned(message: dict[str, Any]) -> dict[str, Any]:

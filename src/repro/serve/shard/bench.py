@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import socket
 import tempfile
 import time
 from pathlib import Path
@@ -31,6 +30,7 @@ from typing import Mapping, Sequence
 
 from ...core.task import Instance, Task
 from ..driver import DriveReport, drive
+from ..frontend import _unix_socket_active
 from .plan import ShardPlan
 
 __all__ = [
@@ -79,18 +79,10 @@ def _shard_server_main(config_kwargs: dict, socket_path: str) -> None:
 
 def _wait_for_socket(path: str, timeout: float = 15.0) -> None:
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if Path(path).exists():
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(path)
-                return
-            except OSError:
-                pass
-            finally:
-                probe.close()
+    while not _unix_socket_active(path):
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"shard server socket {path} not accepting within {timeout}s")
         time.sleep(0.02)
-    raise TimeoutError(f"shard server socket {path} not accepting within {timeout}s")
 
 
 async def _drive_shards(

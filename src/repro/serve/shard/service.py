@@ -2,11 +2,14 @@
 
 :class:`ShardServeService` is the real-time enactment of a
 :class:`~repro.serve.shard.router.ShardRouter`, the sharded analogue of
-:class:`repro.serve.frontend.ServeService`: one asyncio worker per
-*global* machine pulls dispatched requests off its FIFO queue and
-serves each for ``proc * time_scale`` wall seconds.  The frontend
-speaks the same length-prefixed JSON protocol as the single-dispatcher
-service — every existing client and driver works unchanged — plus three
+:class:`repro.serve.frontend.ServeService`, and shares its real-time
+half (:class:`~repro.serve.frontend.LiveService`): one
+:class:`~repro.serve.lanes.MachineLanes` FIFO lane per *global*
+machine serves each dispatched request for ``proc * time_scale`` wall
+seconds on an event-loop timer, and the frame connection, fault replay
+and server loop are the single service's.  The frontend speaks the
+same length-prefixed JSON protocol as the single-dispatcher service —
+every existing client and driver works unchanged — plus these
 router-only ops:
 
 ``{"op": "route"}``
@@ -32,23 +35,16 @@ controls when the work physically runs.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ...faults.schedule import FaultSchedule
-from ...obs.snapshot import write_metrics
+from ...obs.recorders import MetricsRegistry
 from ..dispatcher import DISPATCHED, REQUEUED
-from ..frontend import start_endpoint
-from ..protocol import (
-    ProtocolError,
-    check_version,
-    read_frame,
-    task_from_wire,
-    version_error,
-    write_frame,
-)
+from ..frontend import LiveService, run_service
+from ..lanes import MachineLanes
+from ..protocol import ProtocolError, task_from_wire
 from .plan import ShardPlan
 from .router import RoutedDecision, ShardRouter
 
@@ -111,13 +107,15 @@ def build_sharded_service(config: ShardServeConfig) -> "ShardServeService":
     return ShardServeService(router, time_scale=config.time_scale)
 
 
-class ShardServeService:
+class ShardServeService(LiveService):
     """Real-time enactment of a :class:`ShardRouter`.
 
     Must be :meth:`start`-ed inside a running event loop; :meth:`stop`
-    cancels the workers.  ``time_scale`` converts virtual time units to
-    wall seconds.
+    cancels the in-flight timers.  ``time_scale`` converts virtual time
+    units to wall seconds.
     """
+
+    snapshot_source = "repro-serve-sharded"
 
     def __init__(self, router: ShardRouter, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
@@ -125,95 +123,43 @@ class ShardServeService:
         self.router = router
         self.time_scale = time_scale
         self.m = router.m
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._workers: list[asyncio.Task] = []
-        self._t0: float | None = None
-        self._outstanding = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self.n_completed = 0
         self.n_errors = 0
-
-    # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> None:
-        if self._workers:
-            raise RuntimeError("service already started")
-        loop = asyncio.get_running_loop()
-        self._t0 = loop.time()
-        self._queues = {j: asyncio.Queue() for j in range(1, self.m + 1)}
-        self._workers = [
-            loop.create_task(self._worker(j), name=f"shard-worker-{j}")
-            for j in range(1, self.m + 1)
-        ]
-
-    async def stop(self) -> None:
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-
-    def now(self) -> float:
-        """Wall time since :meth:`start`, in virtual units."""
-        if self._t0 is None:
-            return 0.0
-        return (asyncio.get_running_loop().time() - self._t0) / self.time_scale
+        self.lanes = MachineLanes(
+            self.m,
+            time_scale,
+            alive=self._alive,
+            on_complete=self._on_complete,
+            on_displaced=self._route_displaced,
+        )
 
     # -- request path --------------------------------------------------------
     def submit(self, task) -> RoutedDecision:
         """Route, decide and, if dispatched, enqueue for real-time
-        service on the placed machine's worker."""
+        service on the placed machine's lane."""
         routed = self.router.submit(task)
         if routed.status in (DISPATCHED, REQUEUED):
-            self._enqueue(routed)
+            self.lanes.push(routed.machine, routed.decision.task)
         return routed
-
-    def _enqueue(self, routed: RoutedDecision) -> None:
-        self._outstanding += 1
-        self._idle.clear()
-        arrival = asyncio.get_running_loop().time()
-        self._queues[routed.machine].put_nowait((routed.decision.task, arrival))
 
     def _alive(self, machine: int) -> bool:
         sid = self.router.plan.shard_of(machine)
         return machine in self.router.dispatchers[sid].alive
 
-    async def _worker(self, machine: int) -> None:
-        queue = self._queues[machine]
-        while True:
-            task, arrival = await queue.get()
-            if not self._alive(machine):
-                # Killed with work still queued: route it like any
-                # displaced task (possibly across shards).
-                self._outstanding -= 1
-                self._route_displaced(task, arrival)
-                self._settle()
-                continue
-            await asyncio.sleep(task.proc * self.time_scale)
-            loop_now = asyncio.get_running_loop().time()
-            sid = self.router.plan.shard_of(machine)
-            self.router.shard_metrics[sid].on_complete((loop_now - arrival) / self.time_scale)
-            self.n_completed += 1
-            self._outstanding -= 1
-            self._settle()
-
-    def _settle(self) -> None:
-        if self._outstanding == 0:
-            self._idle.set()
+    def _on_complete(self, machine: int, task, wall_flow: float) -> None:
+        sid = self.router.plan.shard_of(machine)
+        self.router.shard_metrics[sid].on_complete(wall_flow)
 
     def _route_displaced(self, task, arrival: float) -> None:
         routed = self.router.redispatch(task, self.now())
         if routed.status == REQUEUED:
-            self._outstanding += 1
-            self._idle.clear()
-            self._queues[routed.machine].put_nowait((task, arrival))
-        # parked at the router: re-enters the queues at the next revive
+            self.lanes.push(routed.machine, task, arrival)
+        # parked at the router: re-enters the lanes at the next revive
 
-    async def drain(self) -> int:
-        """Wait until every dispatched request finished service (parked
-        requests don't count — they hold no machine); returns the
-        completion count so far."""
-        await self._idle.wait()
-        return self.n_completed
+    def _push_replaced(self, replaced: list[RoutedDecision]) -> int:
+        for routed in replaced:
+            if routed.status == REQUEUED:
+                self.lanes.push(routed.machine, routed.decision.task)
+        return len(replaced)
 
     # -- fault surface -------------------------------------------------------
     def kill(self, machine: int) -> int:
@@ -221,29 +167,13 @@ class ShardServeService:
         its queued requests re-placed fleet-wide (cross-shard handoff
         when the home shard is out).  Returns how many were displaced."""
         self.router.kill(machine)
-        displaced = []
-        queue = self._queues.get(machine)
-        if queue is not None:
-            while not queue.empty():
-                displaced.append(queue.get_nowait())
-        for task, arrival in displaced:
-            self._outstanding -= 1
-            self._route_displaced(task, arrival)
-        self._settle()
-        return len(displaced)
+        return self.lanes.kill(machine)
 
     def revive(self, machine: int) -> int:
         """Revive ``machine`` through the router and enqueue any
         re-placed router-parked requests; returns how many left the
         parking lot."""
-        arrival = asyncio.get_running_loop().time()
-        replaced = self.router.revive(machine, self.now())
-        for routed in replaced:
-            if routed.status == REQUEUED:
-                self._outstanding += 1
-                self._idle.clear()
-                self._queues[routed.machine].put_nowait((routed.decision.task, arrival))
-        return len(replaced)
+        return self._push_replaced(self.router.revive(machine, self.now()))
 
     # -- supervision surface -------------------------------------------------
     def detach_shard(self, sid: int) -> None:
@@ -255,35 +185,12 @@ class ShardServeService:
         """Rejoin shard ``sid`` at the router and enqueue any re-placed
         router-parked requests; returns how many left the parking
         lot."""
-        arrival = asyncio.get_running_loop().time()
-        replaced = self.router.reattach_shard(sid, now=self.now())
-        for routed in replaced:
-            if routed.status == REQUEUED:
-                self._outstanding += 1
-                self._idle.clear()
-                self._queues[routed.machine].put_nowait((routed.decision.task, arrival))
-        return len(replaced)
-
-    async def apply_faults(self, faults: FaultSchedule) -> None:
-        """Replay ``faults`` in scaled wall time through the router
-        (run as a background task alongside the frontend)."""
-        if faults.max_machine() > self.m:
-            raise ValueError(
-                f"fault schedule references machine {faults.max_machine()}, "
-                f"but the service has m={self.m}"
-            )
-        loop = asyncio.get_running_loop()
-        t0 = self._t0 if self._t0 is not None else loop.time()
-        for time_, kind, machine in faults.events():
-            delay = t0 + time_ * self.time_scale - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if kind == "down":
-                self.kill(machine)
-            else:
-                self.revive(machine)
+        return self._push_replaced(self.router.reattach_shard(sid, now=self.now()))
 
     # -- introspection -------------------------------------------------------
+    def registry(self) -> MetricsRegistry:
+        return self.router.fleet_registry()
+
     def stats(self) -> dict[str, Any]:
         """Router + per-shard counters plus the fleet metrics rollup
         (the ``stats`` op payload)."""
@@ -292,123 +199,53 @@ class ShardServeService:
             {
                 "now": self.now(),
                 "completed": self.n_completed,
-                "outstanding": self._outstanding,
+                "outstanding": self.lanes.outstanding,
                 "errors": self.n_errors,
                 "metrics": self.router.fleet_registry().snapshot(),
             }
         )
         return stats
 
-    async def snapshot_loop(self, path: str | Path, every: float) -> None:
-        """Periodically dump the canonical fleet-rollup snapshot to
-        ``path`` (run as a background task; the final state is written
-        by :func:`serve_sharded` on shutdown)."""
-        while True:
-            await asyncio.sleep(every)
-            write_metrics(
-                self.router.fleet_registry(), path, meta={"source": "repro-serve-sharded"}
-            )
-
     # -- frontend ------------------------------------------------------------
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        stop_event: asyncio.Event | None = None,
-    ) -> None:
-        """Serve one protocol connection until EOF (or ``shutdown``,
-        which also sets ``stop_event`` for the server loop)."""
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except ProtocolError as exc:
-                    self.n_errors += 1
-                    await write_frame(writer, {"ok": False, "error": str(exc)})
-                    break  # framing is lost; drop the connection
-                if message is None:
-                    break
-                response = await self._handle_op(message)
-                await write_frame(writer, response)
-                if message.get("op") == "shutdown":
-                    if stop_event is not None:
-                        stop_event.set()
-                    break
-        except (ConnectionError, BrokenPipeError):
-            pass  # peer vanished mid-response; committed state stands
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
+    def on_error(self) -> None:
+        self.n_errors += 1
 
-    async def _handle_op(self, message: dict[str, Any]) -> dict[str, Any]:
-        complaint = check_version(message)
-        if complaint is not None:
-            self.n_errors += 1
-            return version_error(message, complaint)
-        op = message.get("op")
-        if op == "ping":
-            return {"ok": True, "op": "pong", "now": self.now(), "shards": self.router.n_shards}
-        if op == "submit":
-            try:
-                routed = self.submit(task_from_wire(message))
-            except (ProtocolError, ValueError) as exc:
-                self.n_errors += 1
-                return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
-            d = routed.decision
-            return {
-                "ok": True,
-                "op": "submit",
-                "tid": d.task.tid,
-                "status": d.status,
-                "machine": d.machine,
-                "start": d.start,
-                "est_flow": d.est_flow,
-                "reason": d.reason,
-                "shard": routed.shard,
-                "handoff": routed.handoff,
-            }
+    def _pong(self) -> dict[str, Any]:
+        return {**super()._pong(), "shards": self.router.n_shards}
+
+    def _submit_op(self, message: dict[str, Any]) -> dict[str, Any]:
+        try:
+            routed = self.submit(task_from_wire(message))
+        except (ProtocolError, ValueError) as exc:
+            return self._submit_error(message, exc)
+        response = self._submit_response(routed.decision)
+        response["shard"] = routed.shard
+        response["handoff"] = routed.handoff
+        return response
+
+    #: router-only ops: op -> (argument field, method, response field);
+    #: a ``None`` response field answers with the down-shard list.
+    _ADMIN_OPS = {
+        "kill": ("machine", "kill", "displaced"),
+        "revive": ("machine", "revive", "unparked"),
+        "detach-shard": ("shard", "detach_shard", None),
+        "reattach-shard": ("shard", "reattach_shard", "unparked"),
+    }
+
+    def _admin_op(self, op: Any, message: dict[str, Any]) -> dict[str, Any] | None:
         if op == "route":
             return {"ok": True, "op": "route", "plan": self.router.plan.to_json()}
-        if op == "kill":
-            try:
-                displaced = self.kill(int(message["machine"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                self.n_errors += 1
-                return {"ok": False, "op": "kill", "error": str(exc)}
-            return {"ok": True, "op": "kill", "displaced": displaced}
-        if op == "revive":
-            try:
-                unparked = self.revive(int(message["machine"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                self.n_errors += 1
-                return {"ok": False, "op": "revive", "error": str(exc)}
-            return {"ok": True, "op": "revive", "unparked": unparked}
-        if op == "detach-shard":
-            try:
-                self.detach_shard(int(message["shard"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                self.n_errors += 1
-                return {"ok": False, "op": "detach-shard", "error": str(exc)}
-            return {"ok": True, "op": "detach-shard", "down": sorted(self.router.down_shards)}
-        if op == "reattach-shard":
-            try:
-                unparked = self.reattach_shard(int(message["shard"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                self.n_errors += 1
-                return {"ok": False, "op": "reattach-shard", "error": str(exc)}
-            return {"ok": True, "op": "reattach-shard", "unparked": unparked}
-        if op == "stats":
-            return {"ok": True, "op": "stats", "stats": self.stats()}
-        if op == "drain":
-            completed = await self.drain()
-            return {"ok": True, "op": "drain", "completed": completed}
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
-        self.n_errors += 1
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        if op not in self._ADMIN_OPS:
+            return None
+        field, method, answer = self._ADMIN_OPS[op]
+        try:
+            result = getattr(self, method)(int(message[field]))
+        except (KeyError, TypeError, ValueError) as exc:
+            self.on_error()
+            return {"ok": False, "op": op, "error": str(exc)}
+        if answer is None:
+            return {"ok": True, "op": op, "down": sorted(self.router.down_shards)}
+        return {"ok": True, "op": op, answer: result}
 
 
 async def serve_sharded(
@@ -426,40 +263,6 @@ async def serve_sharded(
     """
     if (socket_path is None) == (host is None or port is None):
         raise ValueError("serve_sharded needs exactly one of socket_path or host+port")
-    service = build_sharded_service(config)
-    await service.start()
-    stop_event = asyncio.Event()
-
-    async def on_connection(reader, writer):
-        await service.handle_connection(reader, writer, stop_event)
-
-    try:
-        server = await start_endpoint(
-            on_connection, socket_path=socket_path, host=host, port=port
-        )
-    except OSError:
-        await service.stop()
-        raise
-    background: list[asyncio.Task] = []
-    loop = asyncio.get_running_loop()
-    if faults is not None and faults:
-        background.append(loop.create_task(service.apply_faults(faults)))
-    if config.snapshot_path is not None:
-        background.append(
-            loop.create_task(service.snapshot_loop(config.snapshot_path, config.snapshot_every))
-        )
-    try:
-        async with server:
-            await stop_event.wait()
-    finally:
-        for task in background:
-            task.cancel()
-        await asyncio.gather(*background, return_exceptions=True)
-        await service.stop()
-        if config.snapshot_path is not None:
-            write_metrics(
-                service.router.fleet_registry(),
-                config.snapshot_path,
-                meta={"source": "repro-serve-sharded"},
-            )
-    return service.stats()
+    return await run_service(
+        build_sharded_service(config), config, socket_path, host, port, faults
+    )

@@ -27,8 +27,9 @@ def _hold_unix(path):
     return held
 
 
-async def _noop_connection(reader, writer):
-    writer.close()
+class _NoopConnection(asyncio.Protocol):
+    def connection_made(self, transport):
+        transport.close()
 
 
 class TestStartEndpoint:
@@ -37,7 +38,7 @@ class TestStartEndpoint:
         held = _hold_unix(path)
         try:
             with pytest.raises(AddressInUseError) as info:
-                asyncio.run(start_endpoint(_noop_connection, socket_path=path))
+                asyncio.run(start_endpoint(_NoopConnection, socket_path=path))
             assert info.value.endpoint == str(path)
             # The endpoint was NOT stolen: the socket file still answers.
             assert path.exists()
@@ -53,7 +54,7 @@ class TestStartEndpoint:
         assert path.exists()
 
         async def go():
-            server = await start_endpoint(_noop_connection, socket_path=path)
+            server = await start_endpoint(_NoopConnection, socket_path=path)
             server.close()
             await server.wait_closed()
 
@@ -66,7 +67,7 @@ class TestStartEndpoint:
         path = tmp_path / "not-a-socket"
         path.write_text("hello")
         with pytest.raises(AddressInUseError):
-            asyncio.run(start_endpoint(_noop_connection, socket_path=path))
+            asyncio.run(start_endpoint(_NoopConnection, socket_path=path))
         assert path.read_text() == "hello"
 
     def test_tcp_port_in_use_typed(self):
@@ -76,7 +77,7 @@ class TestStartEndpoint:
         port = held.getsockname()[1]
         try:
             with pytest.raises(AddressInUseError) as info:
-                asyncio.run(start_endpoint(_noop_connection, host="127.0.0.1", port=port))
+                asyncio.run(start_endpoint(_NoopConnection, host="127.0.0.1", port=port))
             assert info.value.endpoint == f"127.0.0.1:{port}"
         finally:
             held.close()

@@ -11,6 +11,7 @@ import pytest
 from repro.faults.schedule import FaultSchedule
 from repro.obs.snapshot import load_metrics, validate_metrics
 from repro.core.task import Task
+from repro.serve.frontend import start_endpoint
 from repro.serve import (
     ServeConfig,
     build_drive_instance,
@@ -184,10 +185,7 @@ class TestProtocolOverSocket:
             await service.start()
             socket_path = str(tmp_path / "serve.sock")
 
-            async def on_connection(reader, writer):
-                await service.handle_connection(reader, writer)
-
-            server = await asyncio.start_unix_server(on_connection, path=socket_path)
+            server = await start_endpoint(service.connection, socket_path=socket_path)
             try:
                 async with server:
                     reader, writer = await asyncio.open_unix_connection(socket_path)
@@ -228,10 +226,7 @@ class TestProtocolOverSocket:
             await service.start()
             socket_path = str(tmp_path / "serve.sock")
 
-            async def on_connection(reader, writer):
-                await service.handle_connection(reader, writer)
-
-            server = await asyncio.start_unix_server(on_connection, path=socket_path)
+            server = await start_endpoint(service.connection, socket_path=socket_path)
             try:
                 async with server:
                     reader, writer = await asyncio.open_unix_connection(socket_path)

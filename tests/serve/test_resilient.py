@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaigns.runner import RetryPolicy
 from repro.chaos import ChaosConfig, ChaosProxy
+from repro.serve.frontend import start_endpoint
 from repro.serve import (
     CircuitBreaker,
     ClientResilience,
@@ -88,10 +89,7 @@ async def _serve_and_drive(tmp, chaos, instance, resilience=None, config=None):
     upstream = str(tmp / "serve.sock")
     listen = str(tmp / "proxy.sock")
 
-    async def on_connection(reader, writer):
-        await service.handle_connection(reader, writer)
-
-    server = await asyncio.start_unix_server(on_connection, path=upstream)
+    server = await start_endpoint(service.connection, socket_path=upstream)
     try:
         async with server, ChaosProxy(
             chaos, upstream_socket=upstream, listen_socket=listen

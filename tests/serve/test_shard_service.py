@@ -9,6 +9,7 @@ import asyncio
 import pytest
 
 from repro.core.task import Task
+from repro.serve.frontend import start_endpoint
 from repro.serve import (
     PROTOCOL_VERSION,
     ServeConfig,
@@ -41,9 +42,7 @@ async def _with_service(config, fn):
     try:
         with tempfile.TemporaryDirectory(prefix="repro-shard-test-") as tmp:
             socket_path = str(Path(tmp) / "shard.sock")
-            server = await asyncio.start_unix_server(
-                service.handle_connection, path=socket_path
-            )
+            server = await start_endpoint(service.connection, socket_path=socket_path)
             async with server:
                 return await fn(service, socket_path)
     finally:
