@@ -10,6 +10,10 @@ reproducible scenario:
 * :mod:`~repro.faults.policies` — what happens to the in-flight task
   of a failing machine (``restart`` elsewhere / ``resume`` on
   recovery);
+* :mod:`~repro.faults.fleet` — the failure rule every layer that loses
+  machines applies (the engine, the serve ``Dispatcher`` and the
+  ``ShardRouter``): least-waiting-work placement, unparking in park
+  order, and the machines and tasks a rebalance touches;
 * :mod:`~repro.faults.units` — misbehaving campaign units (crash,
   hang, flaky) exercising the runner's crash isolation, per-unit
   timeouts and retry;

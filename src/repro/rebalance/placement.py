@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ..faults import fleet
 from ..psets.replication import ReplicationStrategy
 from ..psets.sets import is_circular_interval, ring_interval
 
@@ -169,10 +170,7 @@ class IntervalPlacement(ReplicationStrategy):
         """Machines joining at least one home's replica set under
         ``new`` — each must fetch that home's data before serving it,
         so each pays the warmup penalty once per rebalance."""
-        out: set[int] = set()
-        for u in range(1, self.m + 1):
-            out |= new.replicas(u) - self.replicas(u)
-        return frozenset(out)
+        return frozenset(fleet.added_machines(self.sets(), new.sets()))
 
     # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> dict[str, list[int]]:

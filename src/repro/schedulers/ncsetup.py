@@ -24,8 +24,9 @@ tier all see the realised times.
 Warm state is keyed ``(machine, task.key)``; unkeyed tasks share one
 pseudo-key (the machine warms once).  A rebalance that widens replica
 sets invalidates the warm state of the added machines via
-:meth:`NCSetup.on_replicas_added` — the
-:meth:`repro.serve.dispatcher.Dispatcher.apply_placement` integration —
+:meth:`NCSetup.on_replicas_added` — called from
+:meth:`repro.serve.dispatcher.Dispatcher.charge_warmup`, on the single
+dispatcher and on every shard of a router alike —
 so migration is not free.
 """
 

@@ -24,7 +24,8 @@ restricts the scheduler's view to the alive machines.  Failure-time
 re-dispatch (:meth:`redispatch`) bypasses the scheduler — whose
 ``submit`` contract only covers fresh releases in release order — and
 places the task on the alive candidate with the least committed work,
-smallest index on ties, exactly like the engine's failure path.
+smallest index on ties — the failure rule of :mod:`repro.faults.fleet`,
+which the engine's failure path applies too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task
+from ..faults.fleet import added_machines, least_waiting_work, stale_placements, unpark
 from .admission import AdmissionController
 from .metrics import ServeMetrics
 
@@ -180,7 +182,7 @@ class Dispatcher:
         candidates = task.eligible(self.m) & self.alive
         if not candidates:
             return self._park(task)
-        machine = min(sorted(candidates), key=lambda j: self.waiting_work(j, now))
+        machine = least_waiting_work(candidates, lambda j: self.waiting_work(j, now))
         start = max(now, self.scheduler.completions[machine])
         # The scheduler's completion bookkeeping must absorb the
         # re-placement (future EFT decisions see the extra work), but
@@ -264,6 +266,21 @@ class Dispatcher:
             pass
         return task
 
+    def charge_warmup(self, machines: list[int], now: float, warmup: float) -> None:
+        """Charge ``warmup`` to ``machines`` joining a replica set (each
+        horizon moves to ``max(completions, now) + warmup``), then let a
+        setup-time policy (NC-Setup) cool their caches via its optional
+        ``on_replicas_added`` hook."""
+        if not machines:
+            return
+        machines = [j for j in machines if 1 <= j <= self.m]
+        if warmup > 0.0:
+            for j in machines:
+                self.scheduler.completions[j] = max(self.scheduler.completions[j], now) + warmup
+        hook = getattr(self.scheduler, "on_replicas_added", None)
+        if hook is not None:
+            hook(machines, now)
+
     def apply_placement(
         self,
         old_sets: Mapping[int, frozenset[int]],
@@ -278,9 +295,7 @@ class Dispatcher:
         set before and after the rebalance.  Three effects, in order:
 
         1. every machine *joining* some home's set is charged the
-           deterministic ``warmup`` penalty (data fetch before serving:
-           its committed-work horizon moves to ``max(completions, now)
-           + warmup``);
+           deterministic ``warmup`` penalty (:meth:`charge_warmup`);
         2. every queued-but-unstarted request whose current machine is
            no longer in its home's new set is withdrawn and re-placed
            with the engine's least-waiting-work rule
@@ -293,47 +308,12 @@ class Dispatcher:
         rebalance never perturbs work it does not have to move.
         Returns the migration decisions.
         """
-        added = sorted(
-            {
-                j
-                for u, new in new_sets.items()
-                for j in new - old_sets.get(u, frozenset())
-            }
-        )
-        if warmup > 0.0:
-            for j in added:
-                if 1 <= j <= self.m:
-                    base = max(self.scheduler.completions[j], now)
-                    self.scheduler.completions[j] = base + warmup
-        if added:
-            # Setup-time policies (NC-Setup) invalidate their warm
-            # state so widened replicas pay the cache-warmup penalty
-            # again; probed, so every other policy is unaffected.
-            hook = getattr(self.scheduler, "on_replicas_added", None)
-            if hook is not None:
-                hook([j for j in added if 1 <= j <= self.m], now)
+        added = added_machines(old_sets, new_sets)
+        self.charge_warmup(added, now, warmup)
         migrated: list[DispatchDecision] = []
-        for tid in sorted(self.placements):
-            machine, start = self.placements[tid]
-            if start <= now:
-                continue
-            task = self._tasks[tid]
-            if task.key is None or task.key not in new_sets:
-                continue
-            new_set = new_sets[task.key]
-            if machine in new_set:
-                continue
-            pulled = self.withdraw(tid, now)
-            if pulled is None:  # pragma: no cover - guarded by start > now
-                continue
-            moved = Task(
-                tid=pulled.tid,
-                release=pulled.release,
-                proc=pulled.proc,
-                machines=frozenset(new_set),
-                key=pulled.key,
-            )
-            migrated.append(self.redispatch(moved, now, reason="rebalance"))
+        for task in stale_placements(self.placements, self._tasks, new_sets, now):
+            self.withdraw(task.tid, now)
+            migrated.append(self.redispatch(task, now, reason="rebalance"))
         if self.metrics is not None:
             self.metrics.on_rebalance(
                 version=version, n_migrated=len(migrated), n_added=len(added)
@@ -364,19 +344,11 @@ class Dispatcher:
         self.alive.add(machine)
         if self.metrics is not None:
             self.metrics.on_revive(machine, len(self.alive))
-        pending, self.parked = self.parked, []
         unparked: list[DispatchDecision] = []
-        still_parked: list[Task] = []
-        for task in pending:
-            if task.eligible(self.m) & self.alive:
-                unparked.append(self.redispatch(task, now, reason="unpark"))
-                if self.metrics is not None:
-                    self.metrics.on_unpark(len(still_parked))
-            else:
-                still_parked.append(task)
-        # ``redispatch`` cannot have re-parked (candidates were checked
-        # and the alive set only grew), so ``self.parked`` is empty here.
-        self.parked = still_parked + self.parked
+        for task in unpark(self.parked, self.alive, self.m):
+            unparked.append(self.redispatch(task, now, reason="unpark"))
+            if self.metrics is not None:
+                self.metrics.on_unpark(len(self.parked))
         return unparked
 
     # -- results -------------------------------------------------------------

@@ -417,28 +417,20 @@ def replay_records(
             recovery.n_replay_errors += 1
 
 
-def recover(
-    journal: Journal,
-    make_dispatcher: Callable[[], Any],
-    restore_state: Callable[[Any, Mapping[str, Any]], None] | None = None,
-) -> Recovery:
+def recover(journal: Journal, make_dispatcher: Callable[[], Any]) -> Recovery:
     """Rebuild a dispatcher from ``journal``.
 
     ``make_dispatcher`` builds the blank dispatcher (same scheduler /
     admission / metrics wiring as the crashed process — recovery
     re-derives decisions, so the wiring must match).  When the journal
-    holds a snapshot it is loaded first via ``restore_state`` (defaults
-    to the dispatcher's own ``load_state_dict``), then the WAL suffix
-    replays on top.
+    holds a snapshot it is loaded first via the dispatcher's
+    ``load_state_dict``, then the WAL suffix replays on top.
     """
     dispatcher = make_dispatcher()
     recovery = Recovery(dispatcher=dispatcher, n_dropped_tail=journal.n_dropped_tail)
     if journal.snapshot_state is not None:
         state = journal.snapshot_state
-        if restore_state is not None:
-            restore_state(dispatcher, state["dispatcher"])
-        else:
-            dispatcher.load_state_dict(state["dispatcher"])
+        dispatcher.load_state_dict(state["dispatcher"])
         service = state.get("service", {})
         recovery.completed = set(int(t) for t in service.get("completed", []))
         recovery.n_completed = int(service.get("n_completed", len(recovery.completed)))

@@ -43,6 +43,7 @@ from typing import Any
 from ...campaigns.trace import make_scheduler
 from ...core.schedule import Schedule
 from ...core.task import Instance, Task
+from ...faults.fleet import added_machines, least_waiting_work, stale_placements, unpark
 from ...obs.recorders import MetricsRegistry
 from ...obs.rollup import rollup_registries
 from ..admission import AdmissionController
@@ -175,10 +176,10 @@ class ShardRouter:
         """The failure path: place over every alive candidate fleet-wide
         with the engine's least-waiting-work rule, or park/shed."""
         candidates = [
-            (sid, j)
+            j
             for sid, frag in route.fragments
             if sid not in self.down_shards
-            for j in sorted(frag & self.dispatchers[sid].alive)
+            for j in frag & self.dispatchers[sid].alive
         ]
         if not candidates:
             if self.on_unavailable == "shed":
@@ -193,10 +194,11 @@ class ShardRouter:
             self.router_registry.counter("router_parked_total").inc()
             self.router_registry.gauge("router_parked_now").set(len(self.parked))
             return self.decisions[-1]
-        sid, _ = min(
-            candidates,
-            key=lambda c: (self.dispatchers[c[0]].waiting_work(c[1], now), c[1]),
+        shard_of = self.plan.shard_of
+        machine = least_waiting_work(
+            candidates, lambda j: self.dispatchers[shard_of(j)].waiting_work(j, now)
         )
+        sid = shard_of(machine)
         frag = route.fragment(sid)
         sub = task if frag == task.eligible(self.m) else task.restricted_to(frag)
         decision = self.dispatchers[sid].redispatch(sub, now, reason=reason)
@@ -237,8 +239,9 @@ class ShardRouter:
 
         The sharded analogue of
         :meth:`repro.serve.dispatcher.Dispatcher.apply_placement`:
-        machines joining a home's replica set are charged ``warmup`` on
-        their owning shard's scheduler; queued-but-unstarted requests
+        machines joining a home's replica set are charged ``warmup`` by
+        their owning shard's :meth:`Dispatcher.charge_warmup` (which also
+        cools NC-Setup caches there); queued-but-unstarted requests
         whose machine left their home's set are withdrawn from the
         shard that booked them and re-placed through the router's
         cross-shard failure rule (least waiting work over every alive
@@ -247,42 +250,16 @@ class ShardRouter:
         placement-version gauge land in the router registry (lazily, so
         never-rebalanced fleets snapshot without rebalance keys).
         """
-        added = sorted(
-            {
-                j
-                for u, new in new_sets.items()
-                for j in new - old_sets.get(u, frozenset())
-            }
-        )
-        if warmup > 0.0:
-            for j in added:
-                d = self.dispatchers[self.plan.shard_of(j)]
-                d.scheduler.completions[j] = max(d.scheduler.completions[j], now) + warmup
+        added = added_machines(old_sets, new_sets)
+        for sid in range(self.n_shards):
+            owned = [j for j in added if self.plan.shard_of(j) == sid]
+            self.dispatchers[sid].charge_warmup(owned, now, warmup)
         migrated: list[RoutedDecision] = []
-        for tid in sorted(self.placements):
-            machine, start = self.placements[tid]
-            if start <= now:
-                continue
-            task = self._tasks[tid]
-            if task.key is None or task.key not in new_sets:
-                continue
-            new_set = new_sets[task.key]
-            if machine in new_set:
-                continue
-            sid = self.plan.shard_of(machine)
-            pulled = self.dispatchers[sid].withdraw(tid, now)
-            if pulled is None:  # pragma: no cover - guarded by start > now
-                continue
-            del self.placements[tid]
-            del self._tasks[tid]
-            moved = Task(
-                tid=task.tid,
-                release=task.release,
-                proc=task.proc,
-                machines=frozenset(new_set),
-                key=task.key,
-            )
-            migrated.append(self.redispatch(moved, now, reason="rebalance"))
+        for task in stale_placements(self.placements, self._tasks, new_sets, now):
+            machine, _ = self.placements.pop(task.tid)
+            del self._tasks[task.tid]
+            self.dispatchers[self.plan.shard_of(machine)].withdraw(task.tid, now)
+            migrated.append(self.redispatch(task, now, reason="rebalance"))
         self.router_registry.counter("router_rebalance_applied_total").inc()
         self.router_registry.counter("router_rebalance_migrated_total").inc(len(migrated))
         self.router_registry.counter("router_rebalance_warmup_machines_total").inc(len(added))
@@ -320,17 +297,10 @@ class ShardRouter:
         """Re-place every router-parked task whose set now intersects
         the fleet's alive machines, in park order (the engine's
         recovery rule)."""
-        alive = self.alive()
-        pending, self.parked = self.parked, []
         replaced: list[RoutedDecision] = []
-        still_parked: list[Task] = []
-        for task in pending:
-            if task.eligible(self.m) & alive:
-                replaced.append(self.redispatch(task, now, reason="unpark"))
-                self.router_registry.counter("router_unparked_total").inc()
-            else:
-                still_parked.append(task)
-        self.parked = still_parked + self.parked
+        for task in unpark(self.parked, self.alive(), self.m):
+            replaced.append(self.redispatch(task, now, reason="unpark"))
+            self.router_registry.counter("router_unparked_total").inc()
         self.router_registry.gauge("router_parked_now").set(len(self.parked))
         return replaced
 

@@ -59,6 +59,7 @@ from ..core.schedule import Schedule
 from ..core.task import Instance, Task
 from ..core.tiebreak import MaxIndex, MinIndex
 from ..core.vecengine import VecSchedule, VecUnsupported, eft_decide, lower_eligibility
+from ..faults.fleet import least_waiting_work, unpark
 from ..faults.policies import RESTART, RESUME, validate_policy
 from .events import EventKind, EventQueue
 
@@ -512,14 +513,19 @@ class Simulator:
         ties.  Used for failure-time re-dispatch, which must not go
         through the scheduler (its release-order contract only covers
         fresh releases)."""
-        return min(
-            sorted(candidates),
-            key=lambda j: self.machines[j].waiting_work(self.now),
-        )
+        return least_waiting_work(candidates, lambda j: self.machines[j].waiting_work(self.now))
 
     def _park(self, task: Task) -> None:
         self.parked.append(task)
         self._obs_hook("on_park", task)
+
+    def _enqueue(self, task: Task, machine: int, hook: str) -> None:
+        """Queue a re-placed task on ``machine`` and try to start it."""
+        self.assigned_machine[task.tid] = machine
+        mach = self.machines[machine]
+        mach.queue.append(task)
+        self._obs_hook(hook, task, machine)
+        self._try_start(mach)
 
     def _redispatch(self, task: Task) -> None:
         """Place ``task`` after a failure: onto the best alive machine
@@ -529,13 +535,8 @@ class Simulator:
             self.assigned_machine.pop(task.tid, None)
             self._park(task)
             return
-        machine = self._engine_choose(candidates)
-        self.assigned_machine[task.tid] = machine
         self.n_requeued += 1
-        mach = self.machines[machine]
-        mach.queue.append(task)
-        self._obs_hook("on_requeue", task, machine)
-        self._try_start(mach)
+        self._enqueue(task, self._engine_choose(candidates), "on_requeue")
 
     def _handle_machine_down(self, machine: int) -> None:
         mach = self.machines[machine]
@@ -598,20 +599,9 @@ class Simulator:
             self._obs_hook("on_resume", task, machine)
         # Recovery may revive parked tasks (their alive set was empty);
         # re-dispatch in park order at this very instant.
-        if self.parked:
-            still_parked: list[Task] = []
-            for task in self.parked:
-                candidates = task.eligible(self.m) & self._alive
-                if not candidates:
-                    still_parked.append(task)
-                    continue
-                target = self._engine_choose(candidates)
-                self.assigned_machine[task.tid] = target
-                tgt = self.machines[target]
-                tgt.queue.append(task)
-                self._obs_hook("on_unpark", task, target)
-                self._try_start(tgt)
-            self.parked = still_parked
+        for task in unpark(self.parked, self._alive, self.m):
+            target = self._engine_choose(task.eligible(self.m) & self._alive)
+            self._enqueue(task, target, "on_unpark")
         self._try_start(mach)
 
     # -- run ------------------------------------------------------------------
