@@ -98,6 +98,9 @@ serve-smoke:
 # Sharded serving smoke: a 3-shard loopback router over a disjoint
 # workload (m=6, k=2) must drop nothing, place deterministically across
 # two runs, and — Theorem 6 — byte-match the single-dispatcher digest.
+# The client-routed shard processes of bench-serve are one leg; the
+# other is the in-process router (`serve --shards 3`) driven over its
+# socket, which must byte-match the same single-dispatcher digest.
 shard-smoke:
 	rm -rf results/.shard-smoke
 	mkdir -p results/.shard-smoke
@@ -121,6 +124,26 @@ shard-smoke:
 	grep "assignments sha256" results/.shard-smoke/single.txt > results/.shard-smoke/single.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/b.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/single.sha
+	PYTHONPATH=src $(PYTHON) -m repro serve --m 6 --shards 3 --align-k 2 \
+		--socket results/.shard-smoke/router.sock \
+		> results/.shard-smoke/router-serve.txt & \
+	server=$$!; \
+	for i in $$(seq 100); do \
+		[ -S results/.shard-smoke/router.sock ] && break; sleep 0.1; \
+	done; \
+	PYTHONPATH=src $(PYTHON) -m repro drive --m 6 --k 2 \
+		--strategy disjoint --rate 600 --n 180 \
+		--proc 0.005 --seed 42 \
+		--socket results/.shard-smoke/router.sock --shutdown \
+		> results/.shard-smoke/router.txt; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then kill $$server; fi; \
+	wait $$server; \
+	cat results/.shard-smoke/router.txt; \
+	exit $$status
+	grep -q "errors: 0" results/.shard-smoke/router.txt
+	grep "assignments sha256" results/.shard-smoke/router.txt > results/.shard-smoke/router.sha
+	cmp results/.shard-smoke/router.sha results/.shard-smoke/single.sha
 	rm -rf results/.shard-smoke
 
 # Chaos smoke: a seeded chaos drive (drops, truncation, corruption,

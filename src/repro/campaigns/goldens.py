@@ -79,7 +79,7 @@ GOLDEN_CASES: dict[str, GoldenCase] = {
     ),
     # Disjoint replication admits an exact multi-shard cut (Theorem 6),
     # so this case doubles as the sharded-tier byte-identity oracle
-    # (repro.serve.shard.shadow checks it on a 3-shard plan).
+    # (repro.serve.shadow checks it on a 3-shard plan).
     "eft-min-m6-disjoint": GoldenCase(
         name="eft-min-m6-disjoint",
         description="EFT-Min on 36 disjoint-replicated tasks, m=6, k=2 (seed 17)",

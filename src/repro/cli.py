@@ -57,8 +57,9 @@ controller — ``--policy compare`` races all three arms on the same
 seeded stream, ``--events PATH`` records every placement decision as a
 versioned trace that ``replay`` re-runs and byte-compares.
 
-The sharded tier (:mod:`repro.serve.shard`): ``serve-sharded`` runs N
-dispatcher shards behind the interval-aware router on one endpoint,
+The sharded tier (:mod:`repro.serve.shard`): ``serve --shards N`` runs
+N dispatcher shards behind the interval-aware router on one endpoint
+(``serve-sharded`` is the same verb with two shards by default),
 ``route`` prints a shard plan and where a processing set would land,
 and ``bench-serve --shards N`` runs one real server process per shard
 with client-side routing — on a disjoint plan the merged digest equals
@@ -269,68 +270,56 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-scale", type=float, default=1.0,
                        help="wall seconds per virtual time unit")
 
-    p = sub.add_parser("serve", help="run the live dispatch service until a client sends shutdown")
-    _endpoint_args(p)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument(
-        "--scheduler",
-        default="eft-min",
-        help="any registered zoo policy (see compare-schedulers --list)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
-    p.add_argument("--slo", type=float, default=None,
-                   help="shed requests whose estimated flow exceeds this (virtual units)")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="shed when every eligible machine has this many requests queued")
-    p.add_argument("--time-scale", type=float, default=1.0,
-                   help="wall seconds per virtual time unit")
-    p.add_argument("--on-unavailable", default="park", choices=["park", "shed"],
-                   help="requests whose whole machine set is down: hold or reject")
-    p.add_argument("--snapshot", default=None, metavar="PATH",
-                   help="write a canonical metrics snapshot here periodically and at exit")
-    p.add_argument("--snapshot-every", type=float, default=1.0,
-                   help="seconds between snapshots (with --snapshot)")
-    p.add_argument("--faults", default=None, metavar="PATH",
-                   help="repro-faults JSON schedule to kill/revive workers at runtime")
-    p.add_argument("--journal", default=None, metavar="DIR",
-                   help="write-ahead journal directory: every state transition is logged "
-                   "before acking, and a restart with the same --journal recovers the "
-                   "dispatcher exactly (crash-safe serve)")
-    p.add_argument("--journal-fsync", default="commit", choices=["commit", "batch", "never"],
-                   help="journal durability: fsync per committed op, per batch, or never")
-    p.add_argument("--journal-snapshot-every", type=int, default=0, metavar="N",
-                   help="compact the journal with a snapshot every N records (0: never)")
+    def _serve_args(p: argparse.ArgumentParser, shards: int) -> None:
+        """The flags of ``serve`` and ``serve-sharded`` (one runner)."""
+        _endpoint_args(p)
+        p.add_argument("--m", type=int, default=4)
+        p.add_argument("--shards", type=int, default=shards,
+                       help="number of dispatcher shards; more than 1 puts the "
+                       "interval-aware router in front of them")
+        p.add_argument("--align-k", type=int, default=None,
+                       help="align shard boundaries to disjoint replication groups of this k "
+                       "(zero cross-talk, Theorem 6); default: even intervals")
+        p.add_argument(
+            "--scheduler",
+            default="eft-min",
+            help="any registered zoo policy, per shard (see compare-schedulers --list)",
+        )
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomised schedulers (shard s uses seed+s)")
+        p.add_argument("--slo", type=float, default=None,
+                       help="shed requests whose estimated flow exceeds this "
+                       "(virtual units; shard-local)")
+        p.add_argument("--max-queue", type=int, default=None,
+                       help="shed when every eligible machine has this many requests queued "
+                       "(shard-local)")
+        p.add_argument("--time-scale", type=float, default=1.0,
+                       help="wall seconds per virtual time unit")
+        p.add_argument("--on-unavailable", default="park", choices=["park", "shed"],
+                       help="requests whose whole machine set is down: hold or reject")
+        p.add_argument("--snapshot", default=None, metavar="PATH",
+                       help="write a canonical metrics snapshot (the fleet rollup when "
+                       "sharded) here periodically and at exit")
+        p.add_argument("--snapshot-every", type=float, default=1.0,
+                       help="seconds between snapshots (with --snapshot)")
+        p.add_argument("--faults", default=None, metavar="PATH",
+                       help="repro-faults JSON schedule to kill/revive machines at runtime")
+        p.add_argument("--journal", default=None, metavar="DIR",
+                       help="write-ahead journal directory (one shard only): every state "
+                       "transition is logged before acking, and a restart with the same "
+                       "--journal recovers the dispatcher exactly (crash-safe serve)")
+        p.add_argument("--journal-fsync", default="commit", choices=["commit", "batch", "never"],
+                       help="journal durability: fsync per committed op, per batch, or never")
+        p.add_argument("--journal-snapshot-every", type=int, default=0, metavar="N",
+                       help="compact the journal with a snapshot every N records (0: never)")
 
+    p = sub.add_parser("serve", help="run the live dispatch service until a client sends shutdown")
+    _serve_args(p, shards=1)
     p = sub.add_parser(
         "serve-sharded",
         help="run N dispatcher shards behind the interval-aware router on one endpoint",
     )
-    _endpoint_args(p)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--shards", type=int, default=2, help="number of dispatcher shards")
-    p.add_argument("--align-k", type=int, default=None,
-                   help="align shard boundaries to disjoint replication groups of this k "
-                   "(zero cross-talk, Theorem 6); default: even intervals")
-    p.add_argument(
-        "--scheduler",
-        default="eft-min",
-        help="any registered zoo policy, per shard (see compare-schedulers --list)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="base seed (shard s uses seed+s)")
-    p.add_argument("--slo", type=float, default=None,
-                   help="shard-local: shed requests whose estimated flow exceeds this")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="shard-local: shed when every eligible machine has this many queued")
-    p.add_argument("--time-scale", type=float, default=1.0,
-                   help="wall seconds per virtual time unit")
-    p.add_argument("--on-unavailable", default="park", choices=["park", "shed"],
-                   help="requests whose whole machine set is down fleet-wide: hold or reject")
-    p.add_argument("--snapshot", default=None, metavar="PATH",
-                   help="write the canonical fleet-rollup metrics snapshot here periodically")
-    p.add_argument("--snapshot-every", type=float, default=1.0,
-                   help="seconds between snapshots (with --snapshot)")
-    p.add_argument("--faults", default=None, metavar="PATH",
-                   help="repro-faults JSON schedule to kill/revive machines through the router")
+    _serve_args(p, shards=2)
 
     p = sub.add_parser(
         "route",
@@ -905,21 +894,27 @@ def _run_serve(args):
 
     from .serve import AddressInUseError, ServeConfig, serve
 
-    _check_endpoint("serve", args)
-    config = ServeConfig(
-        m=args.m,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        slo=args.slo,
-        max_queue_depth=args.max_queue,
-        time_scale=args.time_scale,
-        on_unavailable=args.on_unavailable,
-        snapshot_path=args.snapshot,
-        snapshot_every=args.snapshot_every,
-        journal_dir=args.journal,
-        journal_fsync=args.journal_fsync,
-        journal_snapshot_every=args.journal_snapshot_every,
-    )
+    verb = args.command
+    _check_endpoint(verb, args)
+    try:
+        config = ServeConfig(
+            m=args.m,
+            shards=args.shards,
+            scheduler=args.scheduler,
+            seed=args.seed,
+            align_k=args.align_k,
+            slo=args.slo,
+            max_queue_depth=args.max_queue,
+            time_scale=args.time_scale,
+            on_unavailable=args.on_unavailable,
+            snapshot_path=args.snapshot,
+            snapshot_every=args.snapshot_every,
+            journal_dir=args.journal,
+            journal_fsync=args.journal_fsync,
+            journal_snapshot_every=args.journal_snapshot_every,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"{verb}: {exc}") from None
     try:
         stats = asyncio.run(
             serve(
@@ -931,42 +926,7 @@ def _run_serve(args):
             )
         )
     except AddressInUseError as exc:
-        return f"serve: {exc}", EXIT_ADDRESS_IN_USE
-    return "final stats:\n" + json.dumps(stats, indent=2, sort_keys=True)
-
-
-def _run_serve_sharded(args):
-    import asyncio
-    import json
-
-    from .serve import AddressInUseError, ShardServeConfig, serve_sharded
-
-    _check_endpoint("serve-sharded", args)
-    config = ShardServeConfig(
-        m=args.m,
-        shards=args.shards,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        align_k=args.align_k,
-        slo=args.slo,
-        max_queue_depth=args.max_queue,
-        time_scale=args.time_scale,
-        on_unavailable=args.on_unavailable,
-        snapshot_path=args.snapshot,
-        snapshot_every=args.snapshot_every,
-    )
-    try:
-        stats = asyncio.run(
-            serve_sharded(
-                config,
-                socket_path=args.socket,
-                host=args.host if args.socket is None else None,
-                port=args.port,
-                faults=_load_faults(args.faults),
-            )
-        )
-    except AddressInUseError as exc:
-        return f"serve-sharded: {exc}", EXIT_ADDRESS_IN_USE
+        return f"{verb}: {exc}", EXIT_ADDRESS_IN_USE
     return "final stats:\n" + json.dumps(stats, indent=2, sort_keys=True)
 
 
@@ -1276,7 +1236,7 @@ _HANDLERS = {
     "vec-check": _run_vec_check,
     "rebalance": _run_rebalance,
     "serve": _run_serve,
-    "serve-sharded": _run_serve_sharded,
+    "serve-sharded": _run_serve,
     "route": _run_route,
     "drive": _run_drive,
     "bench-serve": _run_bench_serve,

@@ -12,19 +12,22 @@ live asyncio service rather than inside the discrete-event simulator:
 * :mod:`~repro.serve.metrics` — live :mod:`repro.obs` metrics
   (flow histograms, shed counters, queue-depth gauges, canonical
   snapshot dumps);
-* :mod:`~repro.serve.frontend` — the service, fault kill/revive, the
-  server loop (``repro serve``), over :mod:`~repro.serve.lanes` (the
-  timer-driven machine lanes both services share);
+* :mod:`~repro.serve.frontend` — the one live service over either
+  decision core (a :class:`Dispatcher`, or a :class:`ShardRouter` with
+  ``ServeConfig(shards=N)``), fault kill/revive, the server loop
+  (``repro serve``), over :mod:`~repro.serve.lanes` (the timer-driven
+  machine lanes);
 * :mod:`~repro.serve.driver` — open-loop Poisson load generation
   (``repro drive``);
 * :mod:`~repro.serve.shadow` — virtual-time replay proving the service
-  takes exactly the engine's decisions (golden-trace byte identity);
+  (single or sharded) takes exactly the engine's decisions
+  (golden-trace byte identity);
 * :mod:`~repro.serve.loopback` — in-process service+driver runs
   (``repro bench-serve``);
 * :mod:`~repro.serve.shard` — the sharded tier: :class:`ShardPlan`
   partitioning, the interval-aware :class:`ShardRouter` with
-  cross-shard failure handoff, the ``serve-sharded`` frontend and the
-  multi-process ``bench-serve --shards N`` driver;
+  cross-shard failure handoff, and the multi-process
+  ``bench-serve --shards N`` driver;
 * :mod:`~repro.serve.journal` — the write-ahead operation log that
   makes a dispatcher crash-recoverable (``Dispatcher.recover``);
 * :mod:`~repro.serve.supervisor` — shard-process supervision: death
@@ -74,23 +77,24 @@ from .protocol import (
 )
 from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted, drive_resilient
 from .supervisor import ShardSupervisor
-from .shadow import check_shadow_golden, shadow_golden_trace, shadow_replay, shadow_trace
+from .shadow import (
+    check_shadow_golden,
+    check_shard_shadow_golden,
+    shadow_golden_trace,
+    shadow_replay,
+    shadow_trace,
+    shard_shadow_replay,
+    shard_shadow_traces,
+)
 from .shard import (
     Route,
     RoutedDecision,
     ShardPlan,
     ShardRouter,
-    ShardServeConfig,
-    ShardServeService,
-    build_sharded_service,
-    check_shard_shadow_golden,
     partition_instance,
     plan_for_instance,
     run_sharded_loopback,
     run_sharded_loopback_sync,
-    serve_sharded,
-    shard_shadow_replay,
-    shard_shadow_traces,
 )
 
 __all__ = [
@@ -125,12 +129,9 @@ __all__ = [
     "ServeService",
     "ShardPlan",
     "ShardRouter",
-    "ShardServeConfig",
-    "ShardServeService",
     "ShardSupervisor",
     "build_drive_instance",
     "build_service",
-    "build_sharded_service",
     "check_shadow_golden",
     "check_shard_shadow_golden",
     "check_version",
@@ -150,7 +151,6 @@ __all__ = [
     "run_sharded_loopback",
     "run_sharded_loopback_sync",
     "serve",
-    "serve_sharded",
     "shadow_golden_trace",
     "shadow_replay",
     "shadow_trace",

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping
 
 from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task
 from ..faults.fleet import added_machines, least_waiting_work, stale_placements, unpark
+from ..obs.recorders import Counter, MetricsRegistry
 from .admission import AdmissionController
 from .metrics import ServeMetrics
 
@@ -81,9 +82,18 @@ class DispatchDecision:
     est_flow: float | None = None
     reason: str | None = None
 
+    #: extra fields of the ``submit`` response: none for a plain
+    #: decision (a routed one adds its shard); shared, never mutated.
+    routing: ClassVar[dict[str, Any]] = {}
+
 
 class Dispatcher:
     """Virtual-clocked immediate-dispatch decision engine.
+
+    One of the two decision cores a
+    :class:`~repro.serve.frontend.ServeService` enacts (the other is
+    :class:`~repro.serve.shard.router.ShardRouter`, which answers the
+    same service-facing calls); it is a fleet of one shard.
 
     Parameters
     ----------
@@ -104,6 +114,8 @@ class Dispatcher:
         of the set revives) or ``"shed"`` (reject with reason
         ``"unavailable"``).
     """
+
+    n_shards = 1
 
     def __init__(
         self,
@@ -350,6 +362,42 @@ class Dispatcher:
             if self.metrics is not None:
                 self.metrics.on_unpark(len(self.parked))
         return unparked
+
+    # -- service surface -----------------------------------------------------
+    def machine_alive(self, machine: int) -> bool:
+        """Whether a request may start on ``machine`` (the lanes' check)."""
+        return machine in self.alive
+
+    def on_complete(self, machine: int, wall_flow: float) -> None:
+        """Record a request that finished service on ``machine``."""
+        if self.metrics is not None:
+            self.metrics.on_complete(wall_flow)
+
+    def on_error(self) -> None:
+        """Count a rejected request frame."""
+        if self.metrics is not None:
+            self.metrics.on_error()
+
+    def counter(self, name: str) -> Counter:
+        """Counter ``name`` in this dispatcher's registry, for what the
+        service layer counts (dedupe hits, journal snapshots)."""
+        return self.registry().counter(name)
+
+    def registry(self) -> MetricsRegistry:
+        """The registry the metrics dumps and ``stats`` snapshot."""
+        return self.metrics.registry
+
+    def stats(self) -> dict[str, Any]:
+        """Decision counters: the dispatcher's part of the ``stats`` op."""
+        return {
+            "m": self.m,
+            "alive": sorted(self.alive),
+            "requests": self.n_dispatched + self.n_shed + len(self.parked),
+            "dispatched": self.n_dispatched,
+            "shed": self.n_shed,
+            "requeued": self.n_requeued,
+            "parked": len(self.parked),
+        }
 
     # -- results -------------------------------------------------------------
     def schedule(self) -> Schedule:

@@ -231,9 +231,13 @@ async def drive_resilient(
                 for p in pending:
                     p.cancel()
                 await asyncio.gather(*pending, return_exceptions=True)
-                for d in done:
-                    if d.exception() is not None:
-                        raise d.exception()
+                # Retrieve every finished task's exception before raising
+                # one: sender and receiver often fail in the same wakeup,
+                # and an unretrieved one is logged when its task is freed.
+                failures = [d.exception() for d in done]
+                for exc in failures:
+                    if exc is not None:
+                        raise exc
             except recoverable:
                 await teardown()
                 if len(acks) > acked_before:

@@ -11,14 +11,17 @@ paper's own structure:
   virtual-clocked decision tier: shard-local dispatch, shard-local
   admission, deterministic cross-shard failure handoff via the
   engine's least-waiting-work rule;
-* :mod:`~repro.serve.shard.service` — :class:`ShardServeService` /
-  :func:`serve_sharded`, the asyncio frontend (same wire protocol,
-  plus ``route`` / ``kill`` / ``revive`` ops) with fleet-rollup
-  metrics (``repro serve-sharded``);
-* :mod:`~repro.serve.shard.shadow` — golden byte-identity of the
-  sharded tier on disjoint plans, merged and per shard;
 * :mod:`~repro.serve.shard.bench` — one real server process per shard
   with client-side routing (``repro bench-serve --shards N``).
+
+The in-process router service is the one
+:class:`~repro.serve.frontend.ServeService`, built over a
+:class:`ShardRouter` by ``ServeConfig(shards=N)`` with ``N > 1``
+(``repro serve --shards N`` / ``repro serve-sharded``); it answers the
+same wire protocol plus the ``route``, ``detach-shard`` and
+``reattach-shard`` ops, with fleet-rollup metrics.  Sharded shadow
+mode (golden byte-identity on disjoint plans, merged and per shard)
+lives with the single-dispatcher one in :mod:`repro.serve.shadow`.
 """
 
 from .bench import (
@@ -29,23 +32,14 @@ from .bench import (
 )
 from .plan import Route, ShardPlan
 from .router import RoutedDecision, ShardRouter
-from .service import ShardServeConfig, ShardServeService, build_sharded_service, serve_sharded
-from .shadow import check_shard_shadow_golden, shard_shadow_replay, shard_shadow_traces
 
 __all__ = [
     "Route",
     "RoutedDecision",
     "ShardPlan",
     "ShardRouter",
-    "ShardServeConfig",
-    "ShardServeService",
-    "build_sharded_service",
-    "check_shard_shadow_golden",
     "partition_instance",
     "plan_for_instance",
     "run_sharded_loopback",
     "run_sharded_loopback_sync",
-    "serve_sharded",
-    "shard_shadow_replay",
-    "shard_shadow_traces",
 ]

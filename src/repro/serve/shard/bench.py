@@ -1,8 +1,9 @@
 """Multi-process sharded loopback: real throughput, same placements.
 
-The in-process :class:`~repro.serve.shard.service.ShardServeService`
-demonstrates the router frontend, but all N shards share one event
-loop — it cannot show a throughput win.  This module runs the sharded
+The in-process router service (a
+:class:`~repro.serve.frontend.ServeService` built with
+``ServeConfig(shards=N)``) demonstrates the router frontend, but all N
+shards share one event loop — it cannot show a throughput win.  This module runs the sharded
 tier the way a deployment would: **one server process per shard**, each
 a plain single-dispatcher service on its own unix socket, with the
 :class:`~repro.serve.shard.plan.ShardPlan` applied *client side* (the

@@ -8,7 +8,7 @@ each with its own scheduler, shard-local
 dispatcher, the router is *synchronous and virtual-clocked* — every
 placement is a pure function of the admitted request stream — which is
 what lets shadow mode byte-compare a sharded run against the
-single-dispatcher golden traces (:mod:`repro.serve.shard.shadow`).
+single-dispatcher golden traces (:mod:`repro.serve.shadow`).
 
 Routing invariants:
 
@@ -44,7 +44,7 @@ from ...campaigns.trace import make_scheduler
 from ...core.schedule import Schedule
 from ...core.task import Instance, Task
 from ...faults.fleet import added_machines, least_waiting_work, stale_placements, unpark
-from ...obs.recorders import MetricsRegistry
+from ...obs.recorders import Counter, MetricsRegistry
 from ...obs.rollup import rollup_registries
 from ..admission import AdmissionController
 from ..dispatcher import DISPATCHED, PARKED, REQUEUED, SHED, DispatchDecision, Dispatcher
@@ -67,6 +67,10 @@ class RoutedDecision:
     handoff: bool = False
 
     @property
+    def task(self) -> Task:
+        return self.decision.task
+
+    @property
     def status(self) -> str:
         return self.decision.status
 
@@ -74,9 +78,33 @@ class RoutedDecision:
     def machine(self) -> int | None:
         return self.decision.machine
 
+    @property
+    def start(self) -> float | None:
+        return self.decision.start
+
+    @property
+    def est_flow(self) -> float | None:
+        return self.decision.est_flow
+
+    @property
+    def reason(self) -> str | None:
+        return self.decision.reason
+
+    @property
+    def routing(self) -> dict[str, Any]:
+        """The routing fields of the ``submit`` response."""
+        return {"shard": self.shard, "handoff": self.handoff}
+
 
 class ShardRouter:
     """N shard dispatchers behind interval-aware routing.
+
+    The sharded decision core of
+    :class:`~repro.serve.frontend.ServeService`: it answers the calls
+    the service makes of a :class:`Dispatcher` (``submit``,
+    ``redispatch``, ``kill``, ``revive``, ``machine_alive``,
+    ``on_complete``, ``on_error``, ``counter``, ``registry``, ``stats``)
+    plus the shard ops (``plan``, ``detach_shard``, ``reattach_shard``).
 
     Parameters
     ----------
@@ -132,6 +160,7 @@ class ShardRouter:
         self.placements: dict[int, tuple[int, float]] = {}
         self.n_handoffs = 0
         self.n_shed = 0
+        self.n_errors = 0
 
     # -- state ---------------------------------------------------------------
     @property
@@ -367,6 +396,28 @@ class ShardRouter:
         named["router"] = self.router_registry
         return rollup_registries(named, members=members)
 
+    #: the registry the service's metrics dumps and ``stats`` snapshot.
+    registry = fleet_registry
+
+    # -- service surface -----------------------------------------------------
+    def machine_alive(self, machine: int) -> bool:
+        """Whether a request may start on ``machine``: its owning shard's
+        alive bit (a detached shard's lanes drain as they are)."""
+        return machine in self.dispatchers[self.plan.shard_of(machine)].alive
+
+    def on_complete(self, machine: int, wall_flow: float) -> None:
+        """Record a finished request in its machine's shard metrics."""
+        self.shard_metrics[self.plan.shard_of(machine)].on_complete(wall_flow)
+
+    def on_error(self) -> None:
+        """Count a rejected request frame (reported by :meth:`stats`)."""
+        self.n_errors += 1
+
+    def counter(self, name: str) -> Counter:
+        """Counter ``name`` in the router registry, for what the service
+        layer counts (dedupe hits)."""
+        return self.router_registry.counter(name)
+
     def stats(self) -> dict[str, Any]:
         """Router counters plus per-shard dispatcher counters."""
         per_shard = []
@@ -391,4 +442,5 @@ class ShardRouter:
             "handoffs": self.n_handoffs,
             "parked": len(self.parked),
             "shed": self.n_shed,
+            "errors": self.n_errors,
         }

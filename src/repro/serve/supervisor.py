@@ -26,7 +26,9 @@ not cover.  :class:`ShardSupervisor` closes that hole:
 Recovery time (death observed → socket accepting) and restart/death
 counts are exported through a :class:`repro.obs.recorders.
 MetricsRegistry`; a router-fronted deployment pairs these hooks with
-:meth:`ShardRouter.detach_shard` / ``reattach_shard`` for graceful
+:meth:`ShardRouter.detach_shard` / ``reattach_shard`` (the
+``detach-shard`` / ``reattach-shard`` ops of a
+:class:`~repro.serve.frontend.ServeService` over a router) for graceful
 degradation while the shard is down.
 """
 

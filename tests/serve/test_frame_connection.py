@@ -1,9 +1,9 @@
 """The server side of the wire protocol: :class:`FrameConnection`.
 
-Both services answer frames through the same callback connection, so
-every test runs against the single-dispatcher service (errors counted
-in ``errors_total``) and the sharded one (errors counted in
-``n_errors``).  All async tests run their own event loop via
+The service answers frames through the same callback connection over
+either decision core, so every test runs against a single dispatcher
+(errors counted in ``errors_total``) and a router (errors counted in
+its ``n_errors``).  All async tests run their own event loop via
 ``asyncio.run`` (no asyncio pytest plugin, matching the rest of the
 serve suite).
 """
@@ -18,9 +18,7 @@ from repro.serve import (
     MAX_FRAME,
     PROTOCOL_VERSION,
     ServeConfig,
-    ShardServeConfig,
     build_service,
-    build_sharded_service,
     encode_frame,
     read_frame,
     task_to_wire,
@@ -30,12 +28,12 @@ from repro.serve.frontend import start_endpoint
 
 def _single():
     service = build_service(ServeConfig(m=2, time_scale=0.05))
-    return service, lambda: service.metrics.errors.value
+    return service, lambda: service.dispatcher.metrics.errors.value
 
 
 def _sharded():
-    service = build_sharded_service(ShardServeConfig(m=2, shards=2, time_scale=0.05))
-    return service, lambda: service.n_errors
+    service = build_service(ServeConfig(m=2, shards=2, time_scale=0.05))
+    return service, lambda: service.dispatcher.n_errors
 
 
 SERVICES = pytest.mark.parametrize("make", [_single, _sharded], ids=["single", "sharded"])

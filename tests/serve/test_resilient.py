@@ -8,11 +8,13 @@ run.
 """
 
 import asyncio
+import gc
 
 import pytest
 
 from repro.campaigns.runner import RetryPolicy
 from repro.chaos import ChaosConfig, ChaosProxy
+from repro.core.task import Instance, Task
 from repro.serve.frontend import start_endpoint
 from repro.serve import (
     CircuitBreaker,
@@ -164,3 +166,37 @@ class TestResilientDrive:
     def test_endpoint_arguments_validated(self):
         with pytest.raises(ValueError, match="exactly one"):
             asyncio.run(drive_resilient(_fast_instance(n=1)))
+
+    def test_mid_stream_close_leaves_no_unretrieved_task_exception(self, tmp_path):
+        """A server that stops reading and then drops the connection
+        fails the sender (in ``drain``) and the receiver (EOF) in the
+        same wakeup; both task exceptions must be retrieved, so the
+        loop's exception handler never hears of either."""
+        path = str(tmp_path / "closer.sock")
+        tasks = tuple(Task(tid=i, release=0.0, proc=0.01) for i in range(4000))
+        resilience = ClientResilience(
+            retry=RetryPolicy(retries=1, backoff=0.01, max_backoff=0.01),
+            ack_timeout=5.0,
+            breaker_cooldown=0.01,
+        )
+        contexts = []
+
+        async def close_mid_stream(reader, writer):
+            await asyncio.sleep(0.2)  # the client fills the socket buffers
+            writer.transport.abort()
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: contexts.append(context)
+            )
+            server = await asyncio.start_unix_server(close_mid_stream, path=path)
+            async with server:
+                with pytest.raises(ResilienceExhausted):
+                    await drive_resilient(
+                        Instance(m=2, tasks=tasks), socket_path=path, resilience=resilience
+                    )
+            gc.collect()  # frees the finished tasks while the handler is set
+            await asyncio.sleep(0)
+
+        asyncio.run(go())
+        assert [context.get("message") for context in contexts] == []

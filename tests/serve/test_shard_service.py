@@ -1,4 +1,4 @@
-"""Integration tests: the sharded service over a loopback socket.
+"""Integration tests: the service over a router core, on a loopback socket.
 
 All async tests run their own event loop via ``asyncio.run`` (no
 asyncio pytest plugin, matching the rest of the serve suite).
@@ -14,9 +14,8 @@ from repro.serve import (
     PROTOCOL_VERSION,
     ServeConfig,
     ShardPlan,
-    ShardServeConfig,
     build_drive_instance,
-    build_sharded_service,
+    build_service,
     drive,
     read_frame,
     run_loopback_sync,
@@ -32,12 +31,12 @@ def _fast_instance(**overrides):
 
 
 async def _with_service(config, fn):
-    """Run ``fn(service, socket_path)`` against a started sharded
-    service listening on a unix socket in a temp dir."""
+    """Run ``fn(service, socket_path)`` against a started service
+    listening on a unix socket in a temp dir."""
     import tempfile
     from pathlib import Path
 
-    service = build_sharded_service(config)
+    service = build_service(config)
     await service.start()
     try:
         with tempfile.TemporaryDirectory(prefix="repro-shard-test-") as tmp:
@@ -58,7 +57,7 @@ class TestShardedService:
         async def go(service, socket_path):
             return await drive(inst, socket_path=socket_path, time_scale=1.0)
 
-        config = ShardServeConfig(m=FAST["m"], shards=3, align_k=FAST["k"])
+        config = ServeConfig(m=FAST["m"], shards=3, align_k=FAST["k"])
         report = asyncio.run(_with_service(config, go))
         single = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
         assert report.n_errors == 0
@@ -74,7 +73,7 @@ class TestShardedService:
             await writer.wait_closed()
             return response
 
-        config = ShardServeConfig(m=6, shards=3, align_k=2)
+        config = ServeConfig(m=6, shards=3, align_k=2)
         response = asyncio.run(_with_service(config, go))
         assert response["ok"]
         plan = ShardPlan.from_json(response["plan"])
@@ -91,7 +90,7 @@ class TestShardedService:
             await writer.wait_closed()
             return mismatched, current
 
-        config = ShardServeConfig(m=4, shards=2)
+        config = ServeConfig(m=4, shards=2)
         mismatched, current = asyncio.run(_with_service(config, go))
         assert mismatched["ok"] is False
         assert "version mismatch" in mismatched["error"]
@@ -129,7 +128,7 @@ class TestShardedService:
             await writer.wait_closed()
             return stats
 
-        config = ShardServeConfig(m=6, shards=2)
+        config = ServeConfig(m=6, shards=2)
         stats = asyncio.run(_with_service(config, go))
         assert stats["handoffs"] == 1
         assert stats["metrics"]["counters"]["router/router_handoffs_total"] == 1
@@ -157,7 +156,7 @@ class TestShardedService:
             await writer.wait_closed()
             return drained
 
-        config = ShardServeConfig(m=4, shards=2)
+        config = ServeConfig(m=4, shards=2)
         drained = asyncio.run(_with_service(config, go))
         assert drained["completed"] == 1
 
@@ -168,7 +167,7 @@ class TestShardedService:
             report = await drive(inst, socket_path=socket_path, time_scale=1.0)
             return report, service.stats()
 
-        config = ShardServeConfig(m=FAST["m"], shards=3, align_k=FAST["k"])
+        config = ServeConfig(m=FAST["m"], shards=3, align_k=FAST["k"])
         report, stats = asyncio.run(_with_service(config, go))
         counters = stats["metrics"]["counters"]
         assert counters["dispatched_total"] == 30
@@ -178,8 +177,94 @@ class TestShardedService:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="shard"):
-            ShardServeConfig(m=4, shards=0)
+            ServeConfig(m=4, shards=0)
         with pytest.raises(ValueError, match="time_scale"):
-            ShardServeConfig(m=4, shards=2, time_scale=0.0)
-        config = ShardServeConfig(m=4, shards=2, intervals=((1, 1), (2, 4)))
+            ServeConfig(m=4, shards=2, time_scale=0.0)
+        with pytest.raises(ValueError, match="shards=3"):
+            ServeConfig(m=4, shards=3, intervals=((1, 1), (2, 4)))
+        with pytest.raises(ValueError, match="journal"):
+            ServeConfig(m=4, shards=2, journal_dir="wal")
+        config = ServeConfig(m=4, shards=2, intervals=((1, 1), (2, 4)))
         assert config.make_plan().intervals == ((1, 1), (2, 4))
+
+    def test_dedupe_retry_answered_from_cache(self):
+        """A retried keyed submit gets the original answer and is not
+        routed again."""
+
+        async def go(service, socket_path):
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+
+            async def rpc(message):
+                await write_frame(writer, message)
+                return await read_frame(reader)
+
+            frame = {
+                "op": "submit",
+                "dedupe": "k",
+                **task_to_wire(Task(tid=0, release=0.0, proc=0.004, machines=frozenset({3}))),
+            }
+            first, retry = await rpc(frame), await rpc(frame)
+            writer.close()
+            await writer.wait_closed()
+            return first, retry, service.stats()
+
+        first, retry, stats = asyncio.run(_with_service(ServeConfig(m=4, shards=2), go))
+        assert first["ok"] and first["shard"] == 1
+        assert retry == first
+        assert stats["routed"] == 1
+        assert stats["metrics"]["counters"]["dedupe_hits_total"] == 1
+
+
+class TestOneOpTable:
+    """The single dispatcher answers the ops it can serve (``kill``,
+    ``revive``) and refuses the router's like any unknown op."""
+
+    def test_single_dispatcher_ops(self):
+        async def go(service, socket_path):
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+
+            async def rpc(message):
+                await write_frame(writer, message)
+                return await read_frame(reader)
+
+            responses = [
+                await rpc({"op": "kill", "machine": 2}),
+                await rpc({"op": "kill", "machine": 9}),
+                await rpc({"op": "revive", "machine": 2}),
+                await rpc({"op": "route"}),
+                await rpc({"op": "reattach-shard", "shard": 0}),
+                await rpc({"op": "ping"}),
+            ]
+            writer.close()
+            await writer.wait_closed()
+            return responses, service.stats()
+
+        responses, stats = asyncio.run(_with_service(ServeConfig(m=2), go))
+        killed, bad, revived, route, reattach, pong = responses
+        assert killed == {"ok": True, "op": "kill", "displaced": 0}
+        assert bad == {"ok": False, "op": "kill", "error": "machine 9 outside 1..2"}
+        assert revived == {"ok": True, "op": "revive", "unparked": 0}
+        assert route == {"ok": False, "error": "unknown op 'route'"}
+        assert reattach == {"ok": False, "error": "unknown op 'reattach-shard'"}
+        assert pong["shards"] == 1
+        counters = stats["metrics"]["counters"]
+        assert counters["machine_kills_total"] == counters["machine_revives_total"] == 1
+        assert counters["errors_total"] == 3
+
+
+def test_cli_refuses_a_sharded_journal(tmp_path):
+    """``--journal`` with more than one shard is a one-line error, not
+    a traceback, and leaves no journal behind."""
+    from repro.cli import main
+
+    wal = tmp_path / "wal"
+    for argv in (
+        ["serve", "--shards", "2"],
+        ["serve-sharded"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--socket", str(tmp_path / "s.sock"), "--journal", str(wal)])
+        assert exc.value.code == (
+            f"{argv[0]}: the journal covers a single dispatcher; it cannot be used with shards=2"
+        )
+    assert not wal.exists()

@@ -50,7 +50,7 @@ def test_shard_traces_carry_shard_meta():
 
 
 def test_divergence_is_detected(monkeypatch):
-    import repro.serve.shard.shadow as shadow_mod
+    import repro.serve.shadow as shadow_mod
 
     original = shadow_mod.shard_shadow_replay
 
