@@ -74,7 +74,9 @@ faults-smoke:
 
 # Serving smoke: a short loopback bench-serve must drop nothing
 # (errors: 0), place identically across two same-seed runs (equal
-# assignment digests) and write a schema-valid metrics snapshot.
+# assignment digests) and write a schema-valid metrics snapshot.  A
+# last leg runs `serve` in the background and `drive` against its
+# socket: no errors, and the same digest as the loopback runs.
 serve-smoke:
 	rm -rf results/.serve-smoke
 	mkdir -p results/.serve-smoke
@@ -93,6 +95,25 @@ serve-smoke:
 	cmp results/.serve-smoke/a.sha results/.serve-smoke/b.sha
 	PYTHONPATH=src $(PYTHON) -m repro.obs.validate \
 		results/.serve-smoke/a.metrics.json results/.serve-smoke/b.metrics.json
+	PYTHONPATH=src $(PYTHON) -m repro serve --m 4 \
+		--socket results/.serve-smoke/serve.sock \
+		> results/.serve-smoke/serve.txt & \
+	server=$$!; \
+	for i in $$(seq 100); do \
+		[ -S results/.serve-smoke/serve.sock ] && break; sleep 0.1; \
+	done; \
+	PYTHONPATH=src $(PYTHON) -m repro drive --m 4 --k 2 \
+		--rate 400 --n 250 --proc 0.005 --seed 42 \
+		--socket results/.serve-smoke/serve.sock --shutdown \
+		> results/.serve-smoke/drive.txt; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then kill $$server; fi; \
+	wait $$server; \
+	cat results/.serve-smoke/drive.txt; \
+	exit $$status
+	grep -q "errors: 0" results/.serve-smoke/drive.txt
+	grep "assignments sha256" results/.serve-smoke/drive.txt > results/.serve-smoke/drive.sha
+	cmp results/.serve-smoke/a.sha results/.serve-smoke/drive.sha
 	rm -rf results/.serve-smoke
 
 # Sharded serving smoke: a 3-shard loopback router over a disjoint

@@ -7,10 +7,12 @@ fraction per point.  Every run must uphold the no-drops invariant:
 each submitted request is acknowledged, and none is lost to a bug.
 
 The sharded variant drives the same disjoint workload against 1 and 4
-dispatcher shards (one server process per shard, client-side plan
-routing) and must show higher fleet throughput at 4 shards while
-keeping the assignment digest byte-identical — Theorem 6's composition
-means sharding buys capacity without changing a single decision.
+dispatcher shards through the fleet harness
+(``run_sharded_loopback_sync``: one supervised server process per
+shard, client-side plan routing, no chaos) and must show higher fleet
+throughput at 4 shards while keeping the assignment digest
+byte-identical — Theorem 6's composition means sharding buys capacity
+without changing a single decision.
 
 Both benchmarks append their rows to ``BENCH_serve.json`` at the repo
 root (machine-readable mirror of the printed tables).
@@ -130,9 +132,8 @@ def test_sharded_serve_scales_throughput(run_once, scale):
         out = []
         for shards in SHARD_COUNTS:
             plan = plan_for_instance(instance, shards)
-            out.append(
-                (shards, run_sharded_loopback_sync(instance, shards, plan=plan, target_rate=rate))
-            )
+            result = run_sharded_loopback_sync(instance, shards, plan=plan, target_rate=rate)
+            out.append((shards, result.report))
         return out
 
     rows = run_once(sweep)

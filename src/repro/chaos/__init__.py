@@ -17,10 +17,10 @@ The two halves:
     per-direction :class:`random.Random` derived via
     :func:`repro.campaigns.spec.stable_seed`.
 
-Chaos only makes sense against a resilient client
-(:mod:`repro.serve.resilient`): retries with backoff, dedupe-keyed
-idempotent submits, and a circuit breaker turn injected faults into
-measured retries instead of lost work.
+Chaos only makes sense against a resilient client — the one drive
+client, :func:`repro.serve.driver.drive`: retries with backoff,
+dedupe-keyed idempotent submits, and a circuit breaker turn injected
+faults into measured retries instead of lost work.
 """
 
 from .config import ChaosConfig

@@ -972,7 +972,7 @@ def _run_route(args) -> str:
 def _run_drive(args) -> str:
     import asyncio
 
-    from .serve import build_drive_instance, drive
+    from .serve import ResilienceExhausted, build_drive_instance, drive
 
     _check_endpoint("drive", args)
     instance = build_drive_instance(
@@ -985,17 +985,20 @@ def _run_drive(args) -> str:
         proc=args.proc,
         seed=args.seed,
     )
-    report = asyncio.run(
-        drive(
-            instance,
-            socket_path=args.socket,
-            host=args.host if args.socket is None else None,
-            port=args.port,
-            time_scale=args.time_scale,
-            target_rate=args.rate,
-            shutdown=args.shutdown,
+    try:
+        report = asyncio.run(
+            drive(
+                instance,
+                socket_path=args.socket,
+                host=args.host if args.socket is None else None,
+                port=args.port,
+                time_scale=args.time_scale,
+                target_rate=args.rate,
+                shutdown=args.shutdown,
+            )
         )
-    )
+    except ResilienceExhausted as exc:
+        raise SystemExit(f"drive: {exc}") from None
     return report.to_text()
 
 
@@ -1022,39 +1025,19 @@ def _run_bench_serve(args) -> str:
         from .serve import plan_for_instance, run_sharded_loopback_sync
 
         plan = plan_for_instance(instance, args.shards)
+        chaos = None
         if args.chaos:
-            import json
-
             from .chaos import ChaosConfig
-            from .serve import run_chaos_loopback_sync
 
-            result = run_chaos_loopback_sync(
-                instance,
-                args.shards,
-                scheduler=args.scheduler,
-                seed=args.seed,
-                time_scale=args.time_scale,
-                target_rate=args.rate,
-                plan=plan,
-                chaos=ChaosConfig(
-                    seed=args.chaos_seed,
-                    p_drop=args.chaos_drop,
-                    p_truncate=args.chaos_truncate,
-                    p_corrupt=args.chaos_corrupt,
-                    p_duplicate=args.chaos_duplicate,
-                    latency=args.chaos_latency,
-                ),
-                kill_shard=args.kill_shard,
-                kill_after=args.kill_after,
+            chaos = ChaosConfig(
+                seed=args.chaos_seed,
+                p_drop=args.chaos_drop,
+                p_truncate=args.chaos_truncate,
+                p_corrupt=args.chaos_corrupt,
+                p_duplicate=args.chaos_duplicate,
+                latency=args.chaos_latency,
             )
-            lines = [plan.describe(), result.to_text()]
-            if args.recovery_out:
-                with open(args.recovery_out, "w", encoding="utf-8") as fh:
-                    json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                lines.append(f"recovery stats: {args.recovery_out}")
-            return "\n".join(lines)
-        report = run_sharded_loopback_sync(
+        result = run_sharded_loopback_sync(
             instance,
             args.shards,
             scheduler=args.scheduler,
@@ -1062,8 +1045,20 @@ def _run_bench_serve(args) -> str:
             time_scale=args.time_scale,
             target_rate=args.rate,
             plan=plan,
+            chaos=chaos,
+            # --kill-shard and --recovery-out act only with --chaos
+            kill_shard=args.kill_shard if chaos is not None else None,
+            kill_after=args.kill_after,
         )
-        return "\n".join([plan.describe(), report.to_text()])
+        lines = [plan.describe(), result.to_text()]
+        if args.recovery_out and chaos is not None:
+            import json
+
+            with open(args.recovery_out, "w", encoding="utf-8") as fh:
+                json.dump(result.to_json(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            lines.append(f"recovery stats: {args.recovery_out}")
+        return "\n".join(lines)
     config = ServeConfig(
         m=args.m,
         scheduler=args.scheduler,

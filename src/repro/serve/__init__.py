@@ -17,8 +17,9 @@ live asyncio service rather than inside the discrete-event simulator:
   ``ServeConfig(shards=N)``), fault kill/revive, the server loop
   (``repro serve``), over :mod:`~repro.serve.lanes` (the timer-driven
   machine lanes);
-* :mod:`~repro.serve.driver` — open-loop Poisson load generation
-  (``repro drive``);
+* :mod:`~repro.serve.driver` — the one client: open-loop Poisson load
+  generation (``repro drive``) with retry and backoff, dedupe-keyed
+  idempotent submits and a circuit breaker;
 * :mod:`~repro.serve.shadow` — virtual-time replay proving the service
   (single or sharded) takes exactly the engine's decisions
   (golden-trace byte identity);
@@ -26,17 +27,13 @@ live asyncio service rather than inside the discrete-event simulator:
   (``repro bench-serve``);
 * :mod:`~repro.serve.shard` — the sharded tier: :class:`ShardPlan`
   partitioning, the interval-aware :class:`ShardRouter` with
-  cross-shard failure handoff, and the multi-process
-  ``bench-serve --shards N`` driver;
+  cross-shard failure handoff, and the multi-process fleet harness
+  (``repro bench-serve --shards N``, and with ``--chaos`` the
+  end-to-end chaos benchmark);
 * :mod:`~repro.serve.journal` — the write-ahead operation log that
   makes a dispatcher crash-recoverable (``Dispatcher.recover``);
-* :mod:`~repro.serve.supervisor` — shard-process supervision: death
-  detection, restart, journal replay, fleet rejoin;
-* :mod:`~repro.serve.resilient` — the chaos-tolerant client driver:
-  retry with backoff, dedupe-keyed idempotent submits, circuit
-  breaker;
-* :mod:`~repro.serve.chaosbench` — the end-to-end chaos benchmark
-  (``repro bench-serve --chaos``).
+* :mod:`~repro.serve.supervisor` — shard-process supervision: start,
+  death detection, restart, journal replay, fleet rejoin.
 """
 
 from .admission import SHED_QUEUE_FULL, SHED_SLO, AdmissionController, estimated_flow
@@ -48,8 +45,15 @@ from .dispatcher import (
     DispatchDecision,
     Dispatcher,
 )
-from .chaosbench import ChaosBenchResult, run_chaos_loopback, run_chaos_loopback_sync
-from .driver import DriveReport, build_drive_instance, drive, percentile
+from .driver import (
+    CircuitBreaker,
+    ClientResilience,
+    DriveReport,
+    ResilienceExhausted,
+    build_drive_instance,
+    drive,
+    percentile,
+)
 from .frontend import AddressInUseError, ServeConfig, ServeService, build_service, serve
 from .journal import (
     Journal,
@@ -75,7 +79,6 @@ from .protocol import (
     versioned,
     write_frame,
 )
-from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted, drive_resilient
 from .supervisor import ShardSupervisor
 from .shadow import (
     check_shadow_golden,
@@ -89,18 +92,17 @@ from .shadow import (
 from .shard import (
     Route,
     RoutedDecision,
+    ShardBenchResult,
     ShardPlan,
     ShardRouter,
     partition_instance,
     plan_for_instance,
-    run_sharded_loopback,
     run_sharded_loopback_sync,
 )
 
 __all__ = [
     "AddressInUseError",
     "AdmissionController",
-    "ChaosBenchResult",
     "CircuitBreaker",
     "ClientResilience",
     "DISPATCHED",
@@ -127,6 +129,7 @@ __all__ = [
     "ServeConfig",
     "ServeMetrics",
     "ServeService",
+    "ShardBenchResult",
     "ShardPlan",
     "ShardRouter",
     "ShardSupervisor",
@@ -137,18 +140,14 @@ __all__ = [
     "check_version",
     "decode_frame",
     "drive",
-    "drive_resilient",
     "encode_frame",
     "estimated_flow",
     "partition_instance",
     "percentile",
     "plan_for_instance",
     "read_frame",
-    "run_chaos_loopback",
-    "run_chaos_loopback_sync",
     "run_loopback",
     "run_loopback_sync",
-    "run_sharded_loopback",
     "run_sharded_loopback_sync",
     "serve",
     "shadow_golden_trace",

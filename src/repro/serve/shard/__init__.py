@@ -11,8 +11,10 @@ paper's own structure:
   virtual-clocked decision tier: shard-local dispatch, shard-local
   admission, deterministic cross-shard failure handoff via the
   engine's least-waiting-work rule;
-* :mod:`~repro.serve.shard.bench` — one real server process per shard
-  with client-side routing (``repro bench-serve --shards N``).
+* :mod:`~repro.serve.shard.bench` — the one multi-process fleet
+  harness: one supervised server process per shard with client-side
+  routing, optionally journalled behind chaos proxies with a shard
+  killed mid-drive (``repro bench-serve --shards N [--chaos]``).
 
 The in-process router service is the one
 :class:`~repro.serve.frontend.ServeService`, built over a
@@ -25,9 +27,9 @@ lives with the single-dispatcher one in :mod:`repro.serve.shadow`.
 """
 
 from .bench import (
+    ShardBenchResult,
     partition_instance,
     plan_for_instance,
-    run_sharded_loopback,
     run_sharded_loopback_sync,
 )
 from .plan import Route, ShardPlan
@@ -36,10 +38,10 @@ from .router import RoutedDecision, ShardRouter
 __all__ = [
     "Route",
     "RoutedDecision",
+    "ShardBenchResult",
     "ShardPlan",
     "ShardRouter",
     "partition_instance",
     "plan_for_instance",
-    "run_sharded_loopback",
     "run_sharded_loopback_sync",
 ]

@@ -1,9 +1,11 @@
 """Shard supervision: detect a dead shard process, restart it, replay
 its journal, rejoin it to the fleet.
 
-The sharded tier (:mod:`repro.serve.shard.bench`) runs one server
-process per shard.  Without supervision a SIGKILL'd shard silently
-takes every queued and in-flight task of its interval with it — the
+The multi-process fleet harness (:func:`repro.serve.shard.bench.
+run_sharded_loopback_sync`) runs one server process per shard, always
+through a :class:`ShardSupervisor`.  Without supervision a SIGKILL'd
+shard silently takes every queued and in-flight task of its interval
+with it — the
 infrastructure failure mode the paper's flow-time bounds never model
 and ``repro.faults`` (machine failures *inside* the simulation) does
 not cover.  :class:`ShardSupervisor` closes that hole:
@@ -43,9 +45,22 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..obs.recorders import MetricsRegistry
-from .shard.bench import _shard_server_main, _wait_for_socket
+from .frontend import ServeConfig, _unix_socket_active, serve
 
 __all__ = ["ShardSupervisor"]
+
+
+def _shard_server_main(config_kwargs: dict, socket_path: str) -> None:
+    """Entry point of one shard server process (spawn-safe)."""
+    asyncio.run(serve(ServeConfig(**config_kwargs), socket_path=socket_path))
+
+
+def _wait_for_socket(path: str, timeout: float) -> None:
+    deadline = time.monotonic() + timeout
+    while not _unix_socket_active(path):
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"shard server socket {path} not accepting within {timeout}s")
+        time.sleep(0.02)
 
 
 class ShardSupervisor:
@@ -209,9 +224,10 @@ class ShardSupervisor:
     ) -> None:
         """Supervision loop: poll for dead shards and restart them.
 
-        Run as an asyncio task next to a drive; cancel it to stop.  The
-        blocking restart (process spawn + socket wait) runs in a worker
-        thread so the caller's event loop keeps serving.  ``on_death``
+        Run as an asyncio task next to a drive (the fleet harness does
+        so for journalled shards); cancel it to stop.  The blocking
+        restart (process spawn + socket wait) runs in a worker thread
+        so the caller's event loop keeps serving.  ``on_death``
         fires when a death is observed (e.g. ``router.detach_shard``),
         ``on_recover`` after the socket accepts again (e.g.
         ``router.reattach_shard``).

@@ -13,7 +13,6 @@ from .bounds import (
     interval_any_lower_bound,
     nested_lower_bound,
 )
-from .lookup import ALGORITHM_CLASSES, KnownBounds, best_known_bounds
 from .profiles import (
     find_plateau,
     is_nonincreasing,
@@ -25,10 +24,7 @@ from .profiles import (
 )
 
 __all__ = [
-    "ALGORITHM_CLASSES",
     "BoundEntry",
-    "KnownBounds",
-    "best_known_bounds",
     "TABLE1",
     "TABLE2",
     "eft_disjoint_ratio",

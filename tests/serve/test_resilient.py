@@ -1,4 +1,4 @@
-"""Tests for the resilient driver: breaker, retries, dedupe idempotency.
+"""Tests for the driver's resilience: breaker, retries, dedupe idempotency.
 
 The end-to-end cases run the real service and the real chaos proxy in
 one event loop and assert the acceptance property: a drive over a
@@ -23,7 +23,7 @@ from repro.serve import (
     ServeConfig,
     build_drive_instance,
     build_service,
-    drive_resilient,
+    drive,
     run_loopback_sync,
 )
 
@@ -85,7 +85,7 @@ class TestClientResilience:
 
 
 async def _serve_and_drive(tmp, chaos, instance, resilience=None, config=None):
-    """Run service + proxy + resilient driver; return (report, stats)."""
+    """Run service + proxy + driver; return (report, stats)."""
     service = build_service(config if config is not None else ServeConfig(m=FAST["m"]))
     await service.start()
     upstream = str(tmp / "serve.sock")
@@ -96,7 +96,7 @@ async def _serve_and_drive(tmp, chaos, instance, resilience=None, config=None):
         async with server, ChaosProxy(
             chaos, upstream_socket=upstream, listen_socket=listen
         ):
-            report = await drive_resilient(
+            report = await drive(
                 instance,
                 socket_path=listen,
                 target_rate=FAST["rate"],
@@ -156,16 +156,50 @@ class TestResilientDrive:
         )
         with pytest.raises(ResilienceExhausted):
             asyncio.run(
-                drive_resilient(
+                drive(
                     inst,
                     socket_path=str(tmp_path / "nobody-home.sock"),
                     resilience=resilience,
                 )
             )
 
+    def test_second_drive_is_not_answered_from_first_drive_cache(self, tmp_path):
+        """Two drives with equal tids against one service: every submit
+        is keyed, yet no ack of the second drive comes from the first
+        drive's dedupe cache — the service refuses the reused tids
+        itself instead of replaying another run's placements."""
+        first_inst = _fast_instance(seed=1, n=50)
+        second_inst = _fast_instance(seed=2, n=50)
+        config = ServeConfig(
+            m=FAST["m"], journal_dir=str(tmp_path / "wal"), journal_fsync="never"
+        )
+
+        async def go():
+            service = build_service(config)
+            await service.start()
+            path = str(tmp_path / "serve.sock")
+            server = await start_endpoint(service.connection, socket_path=path)
+            try:
+                async with server:
+                    first = await drive(first_inst, socket_path=path)
+                    second = await drive(second_inst, socket_path=path)
+                    return first, second, service.stats()
+            finally:
+                await service.stop()
+
+        first, second, stats = asyncio.run(go())
+        assert first.n_errors == 0
+        assert first.n_dispatched == 50
+        assert stats["journal"]["dedupe_keys"] == 50  # the first drive keyed its submits
+        assert stats["metrics"]["counters"].get("dedupe_hits_total", 0) == 0
+        assert stats["dispatched"] == 50
+        eligible = {t.tid: t.eligible(FAST["m"]) for t in second_inst}
+        assert all(machine in eligible[tid] for tid, machine in second.assignments)
+        assert second.n_errors == 50
+
     def test_endpoint_arguments_validated(self):
         with pytest.raises(ValueError, match="exactly one"):
-            asyncio.run(drive_resilient(_fast_instance(n=1)))
+            asyncio.run(drive(_fast_instance(n=1)))
 
     def test_mid_stream_close_leaves_no_unretrieved_task_exception(self, tmp_path):
         """A server that stops reading and then drops the connection
@@ -192,7 +226,7 @@ class TestResilientDrive:
             server = await asyncio.start_unix_server(close_mid_stream, path=path)
             async with server:
                 with pytest.raises(ResilienceExhausted):
-                    await drive_resilient(
+                    await drive(
                         Instance(m=2, tasks=tasks), socket_path=path, resilience=resilience
                     )
             gc.collect()  # frees the finished tasks while the handler is set
@@ -200,3 +234,22 @@ class TestResilientDrive:
 
         asyncio.run(go())
         assert [context.get("message") for context in contexts] == []
+
+
+def test_cli_drive_unreachable_endpoint_is_one_line(tmp_path, monkeypatch):
+    """``repro drive`` against a missing socket exits with one
+    ``drive: ...`` line once its retries run out, not a traceback."""
+    from repro.cli import main
+    from repro.serve import driver
+
+    fast = ClientResilience(
+        retry=RetryPolicy(retries=1, backoff=0.01, max_backoff=0.01),
+        breaker_cooldown=0.01,
+    )
+    monkeypatch.setattr(driver, "ClientResilience", lambda: fast)
+    with pytest.raises(SystemExit) as exc:
+        main(["drive", "--socket", str(tmp_path / "missing.sock"), "--n", "5"])
+    message = exc.value.code
+    assert isinstance(message, str)
+    assert message.startswith("drive: 0/5 acked after 2 consecutive failed")
+    assert "\n" not in message

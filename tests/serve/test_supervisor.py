@@ -9,12 +9,13 @@ each case runs in a few seconds.
 
 import pytest
 
+from repro.chaos import ChaosConfig
 from repro.serve import (
-    ChaosBenchResult,
     ServeConfig,
+    ShardBenchResult,
     ShardSupervisor,
     build_drive_instance,
-    run_chaos_loopback_sync,
+    run_loopback_sync,
 )
 from repro.serve.shard.bench import run_sharded_loopback_sync
 
@@ -83,16 +84,17 @@ class TestCrashRecoveryDigest:
         inst = _fast_instance()
         baseline = run_sharded_loopback_sync(
             inst, n_shards=2, target_rate=FAST["rate"]
-        )
-        result = run_chaos_loopback_sync(
+        ).report
+        result = run_sharded_loopback_sync(
             inst,
             n_shards=2,
             target_rate=FAST["rate"],
+            chaos=ChaosConfig(),
             kill_shard=0,
             kill_after=0.4,
             journal_fsync="never",
         )
-        assert isinstance(result, ChaosBenchResult)
+        assert isinstance(result, ShardBenchResult)
         assert result.lost == 0
         assert result.double_dispatched == 0
         assert result.killed_shards == [0]
@@ -104,11 +106,31 @@ class TestCrashRecoveryDigest:
         inst = _fast_instance()
         baseline = run_sharded_loopback_sync(
             inst, n_shards=2, target_rate=FAST["rate"]
-        )
-        result = run_chaos_loopback_sync(
-            inst, n_shards=2, target_rate=FAST["rate"], journal_fsync="never"
+        ).report
+        result = run_sharded_loopback_sync(
+            inst, n_shards=2, target_rate=FAST["rate"], chaos=ChaosConfig(), journal_fsync="never"
         )
         assert result.lost == 0
         assert result.double_dispatched == 0
         assert result.killed_shards == []
         assert result.report.assignments_digest == baseline.assignments_digest
+
+    def test_clean_fleet_run_restarts_nothing(self):
+        """Without chaos the shards still run under the supervisor, which
+        restarts nothing, and the fleet places like one dispatcher."""
+        inst = _fast_instance()
+        single = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        result = run_sharded_loopback_sync(inst, n_shards=2, target_rate=FAST["rate"])
+        assert result.chaos is None
+        assert result.restarts == {0: 0, 1: 0}
+        assert result.recovery_seconds == []
+        assert result.killed_shards == []
+        assert result.lost == 0
+        assert result.double_dispatched == 0
+        assert result.report.n_errors == 0
+        assert result.report.assignments_digest == single.assignments_digest
+        assert result.to_text() == result.report.to_text()
+
+    def test_kill_needs_chaos(self):
+        with pytest.raises(ValueError, match="chaos"):
+            run_sharded_loopback_sync(_fast_instance(), n_shards=2, kill_shard=0)
